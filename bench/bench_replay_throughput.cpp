@@ -119,7 +119,8 @@ int main(int argc, char** argv) {
   {
     const auto start = std::chrono::steady_clock::now();
     netflow::PcapFileReader reader(path);
-    while (reader.next()) ++written;
+    netflow::PcapRecord record;
+    while (reader.next(record)) ++written;
     const double s = secondsSince(start);
     std::printf("%-28s %12llu records %12.0f rec/s\n", "parse (stream decode)",
                 static_cast<unsigned long long>(written),

@@ -483,13 +483,15 @@ int main(int argc, char** argv) {
         load.ewmaBatchNs / 1e3);
   }
   if (parse.skippedNonUdp + parse.skippedBadUdpLength +
-          parse.truncatedRecords + parse.clampedTimestamps >
+          parse.skippedFragments + parse.truncatedRecords +
+          parse.clampedTimestamps >
       0) {
     std::printf(
-        "parser skips       non-UDP %llu, bad UDP length %llu, truncated "
-        "%llu, clamped timestamps %llu\n",
+        "parser skips       non-UDP %llu, bad UDP length %llu, IP fragments "
+        "%llu, truncated %llu, clamped timestamps %llu\n",
         static_cast<unsigned long long>(parse.skippedNonUdp),
         static_cast<unsigned long long>(parse.skippedBadUdpLength),
+        static_cast<unsigned long long>(parse.skippedFragments),
         static_cast<unsigned long long>(parse.truncatedRecords),
         static_cast<unsigned long long>(parse.clampedTimestamps));
   }

@@ -56,6 +56,39 @@ void genPcap(const fs::path& dir) {
   auto truncated = writer.bytes();
   truncated.resize(truncated.size() - 11);
   writeFile(dir / "truncated-record.pcap", truncated);
+
+  // Regression: a later IPv4 fragment whose payload looks like a UDP header
+  // (offset 185, bytes 12 34 56 78 00 32 00 00) used to come back as a
+  // 42-byte packet of a phantom flow 4660 -> 22136. It must be skipped and
+  // counted; the whole datagram after it is kept.
+  auto fragments = empty.bytes();
+  const auto appendRecord = [&fragments](std::uint32_t tsSec,
+                                         const std::vector<std::uint8_t>& wire) {
+    for (const std::uint32_t field :
+         {tsSec, 0u, static_cast<std::uint32_t>(wire.size()),
+          static_cast<std::uint32_t>(wire.size())}) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        fragments.push_back(static_cast<std::uint8_t>(field >> shift));
+      }
+    }
+    fragments.insert(fragments.end(), wire.begin(), wire.end());
+  };
+  netflow::Ipv4Header ip;
+  ip.totalLength = netflow::kIpv4HeaderSize + 50;
+  ip.flagsFragment = 185;
+  ip.srcAddr = keyA.srcIp;
+  ip.dstAddr = keyA.dstIp;
+  std::vector<std::uint8_t> wire;
+  netflow::encodeIpv4(ip, wire);
+  wire.insert(wire.end(), {0x12, 0x34, 0x56, 0x78, 0x00, 0x32, 0x00, 0x00});
+  appendRecord(1, wire);
+  netflow::PcapWriter whole;
+  whole.write(keyA, traceA.front());
+  const auto& wholeBytes = whole.bytes();
+  fragments.insert(fragments.end(),
+                   wholeBytes.begin() + netflow::kPcapGlobalHeaderSize,
+                   wholeBytes.end());
+  writeFile(dir / "fragment-lookalike.pcap", fragments);
 }
 
 void genRtp(const fs::path& dir) {

@@ -47,6 +47,7 @@ std::optional<Placement> placementFromString(std::string_view text) {
 MultiFlowEngine::MultiFlowEngine(EngineOptions options)
     : options_(std::move(options)),
       classifier_(options_.streaming.classifier) {
+  static_assert(sizeof(Item) == 64, "a queued packet should fill one line");
   if (options_.streaming.windowNs <= 0) {
     // Estimators are created lazily on the workers; a bad window size must
     // fail here, at engine construction, not as a worker error mid-stream.
@@ -116,7 +117,7 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
     flow = flowTable_.intern(key);
     demuxCache_.remember(key, flow);
   }
-  core::StreamingEstimator::BackendPtr admissionBackend;
+  std::unique_ptr<Control> admission;
   features::FeatureSet admissionSet = options_.streaming.featureSet;
   const bool admitted = flow >= flowStats_.size();
   if (admitted) {
@@ -131,7 +132,10 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
       admissionSet = options_.featureSetResolver(key);
     }
     stats.featureSet = admissionSet;
-    admissionBackend = resolveBackend(key, stats, admissionSet);
+    if (auto backend = resolveBackend(key, stats, admissionSet)) {
+      admission = std::make_unique<Control>();
+      admission->backend = std::move(backend);
+    }
     flowStats_.push_back(std::move(stats));
     lruPrev_.push_back(kNoFlow);
     lruNext_.push_back(kNoFlow);
@@ -165,12 +169,10 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
   // re-interned generation may land on a different shard; its id is fresh,
   // so no state aliases.)
   Shard& shard = *shards_[shardOf_[flow]];
-  Item item;
-  item.flow = flow;
-  item.packet = packet;
-  item.backend = std::move(admissionBackend);
-  item.featureSet = admissionSet;
-  shard.pending.push_back(std::move(item));
+  shard.pending.push_back(Item{.flow = flow,
+                               .featureSet = admissionSet,
+                               .packet = packet,
+                               .control = std::move(admission)});
   ++shard.packetsDispatched;
   if (shard.pending.size() >= options_.dispatchBatch) {
     flushPending(shard);
@@ -288,11 +290,11 @@ void MultiFlowEngine::maybeStartMigration() {
   // flow dispatched so far; flush immediately so the worker reaches it
   // without waiting for the pending buffer to fill.
   Shard& src = *shards_[maxShard];
-  Item item;
-  item.flow = victim;
-  item.kind = Item::Kind::kMigrateOut;
-  item.ticket = std::move(ticket);
-  src.pending.push_back(std::move(item));
+  auto control = std::make_unique<Control>();
+  control->ticket = std::move(ticket);
+  src.pending.push_back(Item{.flow = victim,
+                             .kind = Item::Kind::kMigrateOut,
+                             .control = std::move(control)});
   flushPending(src);
 }
 
@@ -310,22 +312,17 @@ void MultiFlowEngine::maybeCompleteMigration() {
   // target emits — per-flow order survives the shard switch.
   drainShard(src, stash_);
 
-  Item install;
-  install.flow = flow;
-  install.kind = Item::Kind::kMigrateIn;
-  install.ticket = migration_->ticket;
-  install.backend = flowStats_[flow].backend;
-  install.featureSet = flowStats_[flow].featureSet;
-  dst.pending.push_back(std::move(install));
+  auto control = std::make_unique<Control>();
+  control->ticket = migration_->ticket;
+  control->backend = flowStats_[flow].backend;
+  dst.pending.push_back(Item{.flow = flow,
+                             .kind = Item::Kind::kMigrateIn,
+                             .featureSet = flowStats_[flow].featureSet,
+                             .control = std::move(control)});
   // Replay the packets parked during the handover, in arrival order,
-  // behind the install item; subsequent packets route here directly.
-  for (const auto& packet : migration_->parked) {
-    Item item;
-    item.flow = flow;
-    item.packet = packet;
-    dst.pending.push_back(std::move(item));
-    ++dst.packetsDispatched;
-  }
+  // behind the install item; subsequent packets route here directly. Full
+  // buffers go out as they fill, so no batch outgrows `dispatchBatch`.
+  std::vector<netflow::Packet> parked = std::move(migration_->parked);
   shardOf_[flow] = static_cast<std::uint32_t>(migration_->to);
   --src.residentFlows;
   ++dst.residentFlows;
@@ -333,6 +330,11 @@ void MultiFlowEngine::maybeCompleteMigration() {
   ++dst.migrationsIn;
   ++migrationsDone_;
   migration_.reset();
+  for (const auto& packet : parked) {
+    if (dst.pending.size() >= options_.dispatchBatch) flushPending(dst);
+    dst.pending.push_back(Item{.flow = flow, .packet = packet});
+    ++dst.packetsDispatched;
+  }
   if (dst.pending.size() >= options_.dispatchBatch) flushPending(dst);
 }
 
@@ -392,10 +394,7 @@ void MultiFlowEngine::evictFlow(FlowId flow) {
   // this generation has been processed.
   Shard& shard = *shards_[shardOf_[flow]];
   --shard.residentFlows;
-  Item item;
-  item.flow = flow;
-  item.kind = Item::Kind::kEvict;
-  shard.pending.push_back(std::move(item));
+  shard.pending.push_back(Item{.flow = flow, .kind = Item::Kind::kEvict});
   if (shard.pending.size() >= options_.dispatchBatch) flushPending(shard);
 }
 
@@ -412,33 +411,65 @@ void MultiFlowEngine::pump(common::TimeNs nowNs) {
     // The kick rides the same FIFO as packets, so the worker observes it —
     // and runs the batcher deadline check — only after everything
     // dispatched before the pump.
-    Item item;
-    item.flow = kNoFlow;
-    item.kind = Item::Kind::kKick;
-    item.packet = kick;
-    shard->pending.push_back(std::move(item));
+    shard->pending.push_back(
+        Item{.flow = kNoFlow, .kind = Item::Kind::kKick, .packet = kick});
     flushPending(*shard);
   }
 }
 
 void MultiFlowEngine::flushPending(Shard& shard) {
   if (shard.pending.empty()) return;
-  std::vector<Item> batch;
-  batch.reserve(options_.dispatchBatch);
-  batch.swap(shard.pending);
+  std::vector<Item> next;
   {
     common::MutexLock lock(shard.mutex);
-    shard.batches.push_back(std::move(batch));
+    shard.batches.push_back(std::move(shard.pending));
+    if (!shard.spare.empty()) {
+      next = std::move(shard.spare.back());
+      shard.spare.pop_back();
+    }
   }
   shard.cv.notify_one();
   ++batchesDispatched_;
+  // After finish() the shard takes no more items, so it needs no buffer.
+  if (finished_ || next.capacity() > 0) {
+    shard.pending = std::move(next);
+  } else if (shard.buffers < kBatchPool) {
+    ++shard.buffers;
+    shard.pending.reserve(options_.dispatchBatch);
+  } else {
+    shard.pending = awaitSpare(shard);
+  }
+}
+
+std::vector<MultiFlowEngine::Item> MultiFlowEngine::awaitSpare(Shard& shard) {
+  // Every buffer of the pool is queued or in the worker's hands. Drain the
+  // result rings while waiting — the worker may be parked on a full ring
+  // and can finish its batch only once there is room — and yield rather
+  // than sleep: in the bench a sleeping dispatcher left later set-ups
+  // (model parsing) slower more often, which a yielding one did not.
+  for (;;) {
+    drainInto(stash_);
+    {
+      common::MutexLock lock(shard.mutex);
+      if (!shard.spare.empty()) {
+        std::vector<Item> next = std::move(shard.spare.back());
+        shard.spare.pop_back();
+        return next;
+      }
+    }
+    std::this_thread::yield();
+  }
 }
 
 void MultiFlowEngine::workerLoop(Shard& shard) {
+  std::vector<Item> batch;
   for (;;) {
-    std::vector<Item> batch;
     {
       common::MutexLock lock(shard.mutex);
+      if (batch.capacity() > 0) {
+        // Hand the processed buffer back to the dispatcher's pool.
+        shard.spare.push_back(std::move(batch));
+      }
       while (!shard.done && shard.batches.empty()) shard.cv.wait(shard.mutex);
       if (shard.batches.empty()) break;  // done and drained
       batch = std::move(shard.batches.front());
@@ -453,6 +484,7 @@ void MultiFlowEngine::workerLoop(Shard& shard) {
         shard.error = "unknown worker exception";
       }
     }
+    batch.clear();
   }
   if (shard.error.empty()) {
     try {
@@ -509,27 +541,28 @@ void MultiFlowEngine::processBatch(Shard& shard,
           throw std::logic_error(
               "MultiFlowEngine: migrate-out for a flow with no estimator");
         }
-        item.ticket->estimator.emplace(std::move(node.mapped()));
-        item.ticket->ready.store(true, std::memory_order_release);
+        MigrationTicket& ticket = *item.control->ticket;
+        ticket.estimator.emplace(std::move(node.mapped()));
+        ticket.ready.store(true, std::memory_order_release);
         continue;
       }
       case Item::Kind::kMigrateIn: {
         // Install: `ready` was acquire-checked by the dispatcher before it
         // routed this item, so the estimator is here, fully quiesced.
-        if (!item.ticket->estimator.has_value()) {
+        MigrationTicket& ticket = *item.control->ticket;
+        if (!ticket.estimator.has_value()) {
           throw std::logic_error(
               "MultiFlowEngine: migrate-in with an empty ticket");
         }
-        core::StreamingEstimator estimator =
-            std::move(*item.ticket->estimator);
-        item.ticket->estimator.reset();
+        core::StreamingEstimator estimator = std::move(*ticket.estimator);
+        ticket.estimator.reset();
         const FlowId flow = item.flow;
         // Rebind the emission callback to THIS shard — the old one
         // referenced the source shard's ring/batcher. Same capture shapes
         // as estimator creation below.
         if (shard.batcher) {
           estimator.rebindCallback(
-              [&shard, flow, backend = item.backend](
+              [&shard, flow, backend = item.control->backend](
                   const core::StreamingOutput& out) {
                 shard.batcher->add(flow, out, backend, shard.streamClock);
               });
@@ -552,9 +585,11 @@ void MultiFlowEngine::processBatch(Shard& shard,
     auto it = shard.estimators.find(item.flow);
     if (it == shard.estimators.end()) {
       const FlowId flow = item.flow;
-      // item.backend and item.featureSet were resolved at admission and
-      // ride the generation's first packet; the FIFO guarantees that packet
-      // creates the estimator.
+      // The backend (in `control`, null without one) and the feature set
+      // were resolved at admission and ride the generation's first packet;
+      // the FIFO guarantees that packet creates the estimator.
+      core::StreamingEstimator::BackendPtr backend =
+          item.control ? item.control->backend : nullptr;
       core::StreamingOptions streaming = options_.streaming;
       streaming.featureSet = item.featureSet;
       if (shard.batcher) {
@@ -564,7 +599,7 @@ void MultiFlowEngine::processBatch(Shard& shard,
         it = shard.estimators
                  .try_emplace(
                      flow, std::move(streaming),
-                     [&shard, flow, backend = item.backend](
+                     [&shard, flow, backend = std::move(backend)](
                          const core::StreamingOutput& out) {
                        shard.batcher->add(flow, out, backend,
                                           shard.streamClock);
@@ -578,7 +613,7 @@ void MultiFlowEngine::processBatch(Shard& shard,
                                   const core::StreamingOutput& out) {
                                 pushResult(shard, EngineResult{flow, out});
                               },
-                              item.backend)
+                              std::move(backend))
                  .first;
       }
     }
@@ -655,10 +690,12 @@ std::vector<EngineResult> MultiFlowEngine::finish() {
   if (finished_) return {};
   finished_ = true;
 
-  // Resolve an in-flight migration first: the parked packets must reach
-  // the target shard before the pools wind down. Keep draining while we
-  // wait — the source worker may be parked on a full result ring.
-  std::vector<EngineResult> merged;
+  // Results already stashed are older than anything still in a ring, so
+  // they lead. Then resolve an in-flight migration: the parked packets
+  // must reach the target shard before the pools wind down. Keep draining
+  // while we wait — the source worker may be parked on a full result ring.
+  std::vector<EngineResult> merged = std::move(stash_);
+  stash_.clear();
   while (migration_) {
     maybeCompleteMigration();
     if (migration_) {

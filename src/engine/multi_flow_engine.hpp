@@ -111,7 +111,8 @@ struct EngineOptions {
   /// (covered by the determinism suites).
   bool pinWorkers = false;
   /// Packets buffered per shard on the dispatcher side before the batch is
-  /// handed to the worker; amortizes queue synchronization.
+  /// handed to the worker; amortizes queue synchronization. A shard queues
+  /// at most `MultiFlowEngine::kBatchPool` batches.
   std::size_t dispatchBatch = 256;
   /// Capacity of each shard's result ring. Workers back-pressure (yield)
   /// when their ring is full and nobody drains it.
@@ -264,6 +265,14 @@ struct EngineStats {
 
 class MultiFlowEngine {
  public:
+  /// A shard's dispatch batches live in a pool of at most this many
+  /// buffers (`dispatchBatch` items each), allocated as needed and recycled
+  /// by the worker. The pool also bounds the dispatcher->worker queue, so a
+  /// shard's backlog never exceeds `kBatchPool * dispatchBatch` packets:
+  /// with every buffer queued, the dispatcher waits for the worker to hand
+  /// one back, draining the result rings meanwhile (see `poll`).
+  static constexpr std::size_t kBatchPool = 16;
+
   explicit MultiFlowEngine(EngineOptions options);
 
   /// Joins the workers; results never drained are discarded.
@@ -280,6 +289,8 @@ class MultiFlowEngine {
   /// Drains every result currently available into `out` and returns how many
   /// were appended. Per-flow order is preserved; interleaving across flows
   /// reflects completion order. Must be called from the dispatcher thread.
+  /// Results the dispatcher drained while `onPacket` or `pump` waited on a
+  /// used-up batch pool are held inside the engine and come first.
   std::size_t poll(std::vector<EngineResult>& out);
 
   /// Live-mode idle kick: advances the engine clock to `nowNs` (monotone —
@@ -325,6 +336,19 @@ class MultiFlowEngine {
     std::optional<core::StreamingEstimator> estimator;
   };
 
+  /// What only a flow generation's admission packet and the migration
+  /// items carry. Behind one pointer so plain packets do not pay for it.
+  struct Control {
+    /// The backend the dispatcher resolved at admission, attached when the
+    /// worker creates the estimator (a returning re-interned flow
+    /// re-resolves); on kMigrateIn, re-captured into the target shard's
+    /// batcher callback.
+    core::StreamingEstimator::BackendPtr backend;
+    /// Set on kMigrateOut / kMigrateIn only.
+    std::shared_ptr<MigrationTicket> ticket;
+  };
+
+  /// One entry of a dispatch batch: 64 bytes, one cache line.
   struct Item {
     enum class Kind : std::uint8_t {
       kPacket,
@@ -335,47 +359,46 @@ class MultiFlowEngine {
       /// follows the batch sees the pumped time.
       kKick,
       /// Quiesce `flow` on this (source) shard: flush the batcher, extract
-      /// the estimator into `ticket`, publish `ready`.
+      /// the estimator into `control->ticket`, publish `ready`.
       kMigrateOut,
       /// Install `flow` on this (target) shard: take the estimator from
-      /// `ticket`, rebind its emission callback to this shard.
+      /// `control->ticket`, rebind its emission callback to this shard.
       kMigrateIn,
     };
 
     FlowId flow = 0;
     Kind kind = Kind::kPacket;
-    netflow::Packet packet;
-    /// Set only on a flow generation's first packet (the backend the
-    /// dispatcher resolved at admission, attached when the worker creates
-    /// the estimator; a returning re-interned flow re-resolves) and on
-    /// kMigrateIn (re-captured into the target shard's batcher callback).
-    core::StreamingEstimator::BackendPtr backend;
     /// Meaningful on the admission packet only (the item that creates the
     /// estimator): the flow's resolved feature set.
     features::FeatureSet featureSet = features::FeatureSet::kIpUdp;
-    /// Set on kMigrateOut / kMigrateIn only.
-    std::shared_ptr<MigrationTicket> ticket;
+    netflow::Packet packet{};
+    /// Null on plain packets, evict and kick items.
+    std::unique_ptr<Control> control{};
   };
 
   /// Thread-ownership map (enforced by `-Wthread-safety` on the guarded
   /// members, by the TSan stress suites on the confined ones):
-  ///  * `mutex`-guarded: `batches`, `done` — the dispatcher->worker handoff.
-  ///  * dispatcher-confined: `pending` (flushed into `batches` under the
-  ///    lock).
+  ///  * `mutex`-guarded: `batches`, `spare`, `done` — filled buffers to the
+  ///    worker, recycled ones back.
+  ///  * dispatcher-confined: `pending` (moved into `batches` under the
+  ///    lock), `buffers`.
   ///  * worker-confined after construction: `estimators`, `batcher`,
   ///    `streamClock`.
   ///  * `error` is written by the worker and read by the dispatcher only
   ///    after the pool is joined (`finish`), so the join is the fence.
   ///  * `results` is the SPSC ring: worker produces, dispatcher consumes.
   struct Shard {
-    // Input side (mutex-guarded batch queue, dispatcher -> worker).
+    // Input side (mutex-guarded, dispatcher <-> worker).
     common::Mutex mutex;
     common::CondVar cv;
     std::deque<std::vector<Item>> batches GUARDED_BY(mutex);
+    std::vector<std::vector<Item>> spare GUARDED_BY(mutex);
     bool done GUARDED_BY(mutex) = false;
 
-    // Dispatcher-side buffer, flushed to `batches` when full.
+    // Dispatcher-side buffer, moved to `batches` when full.
     std::vector<Item> pending;
+    // Buffers of this shard's pool allocated so far (<= kBatchPool).
+    std::size_t buffers = 1;
 
     // Output side (lock-free SPSC ring, worker -> dispatcher).
     std::unique_ptr<SpscRing<EngineResult>> results;
@@ -423,6 +446,7 @@ class MultiFlowEngine {
   void processBatch(Shard& shard, const std::vector<Item>& batch);
   void pushResult(Shard& shard, EngineResult result);
   void flushPending(Shard& shard);
+  std::vector<Item> awaitSpare(Shard& shard);
   void drainShard(Shard& shard, std::vector<EngineResult>& out);
   void drainInto(std::vector<EngineResult>& out);
   void throwIfWorkerFailed() const;
@@ -485,9 +509,11 @@ class MultiFlowEngine {
   /// generations are stale but never read — a fresh generation appends.
   std::vector<std::uint32_t> shardOf_;
   std::optional<PendingMigration> migration_;
-  /// Results pulled off a migration source's ring at handover, delivered
-  /// ahead of everything else by the next poll()/finish() so the migrated
-  /// flow's source-side windows precede its target-side ones.
+  /// Results pulled off the rings by the dispatcher itself, delivered ahead
+  /// of everything else by the next poll()/finish(): a migration source's
+  /// ring at handover (so the migrated flow's source-side windows precede
+  /// its target-side ones), and every ring while the dispatcher waits on a
+  /// used-up batch pool (so a worker parked on a full ring can finish).
   std::vector<EngineResult> stash_;
   std::uint64_t migrationsDone_ = 0;
   /// Batch count at the last migration scan, throttling the O(live flows)

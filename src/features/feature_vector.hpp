@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -9,8 +10,9 @@
 /// reports, and the benches.
 namespace vcaqoe::features {
 
-/// Which feature family a model consumes (Table 1).
-enum class FeatureSet {
+/// Which feature family a model consumes (Table 1). One byte, so it packs
+/// beside a flow id in the engine's per-packet queue item.
+enum class FeatureSet : std::uint8_t {
   /// Flow-level statistics + VCA-semantic features (14 features) — the
   /// paper's IP/UDP ML input.
   kIpUdp,

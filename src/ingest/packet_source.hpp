@@ -1,6 +1,6 @@
 #pragma once
 
-#include "netflow/packet.hpp"
+#include "netflow/pcap.hpp"
 
 /// Capture front-ends for the multi-flow engine.
 ///
@@ -10,11 +10,10 @@
 /// and live traffic. The replay driver (`replay()`) is the only consumer.
 namespace vcaqoe::ingest {
 
-/// One packet observation as delivered by a capture front-end.
-struct SourcePacket {
-  netflow::FlowKey flow;
-  netflow::Packet packet;
-};
+/// One packet observation as delivered by a capture front-end: the
+/// capture reader's own record type, so a replayed packet is decoded
+/// straight into the caller's `SourcePacket` with no copy in between.
+using SourcePacket = netflow::PcapRecord;
 
 /// Pull interface over a stream of packet observations in arrival order.
 class PacketSource {

@@ -13,11 +13,8 @@ PcapReplaySource::PcapReplaySource(std::span<const std::uint8_t> data,
     : options_(options), memory_(std::in_place, data) {}
 
 bool PcapReplaySource::next(SourcePacket& out) {
-  auto rec = file_ ? file_->next() : memory_->next();
-  if (!rec) return false;
-  if (options_.paceMultiplier > 0.0) pace(rec->packet.arrivalNs);
-  out.flow = rec->flow;
-  out.packet = rec->packet;
+  if (!(file_ ? file_->next(out) : memory_->next(out))) return false;
+  if (options_.paceMultiplier > 0.0) pace(out.packet.arrivalNs);
   return true;
 }
 

@@ -18,9 +18,10 @@ struct ReplayOptions {
 };
 
 /// Streams the UDP records of a classic-pcap capture, in file order, through
-/// the `PacketSource` interface. File-backed construction streams with an
-/// O(record) buffer (`netflow::PcapFileReader`), so replaying a multi-GB
-/// capture never materializes it in memory.
+/// the `PacketSource` interface. File-backed construction streams through
+/// one 64 KiB block buffer parsed in place (`netflow::PcapFileReader`), so
+/// replaying a multi-GB capture never materializes it in memory, and each
+/// record is decoded straight into the caller's `SourcePacket`.
 class PcapReplaySource final : public PacketSource {
  public:
   /// Opens a capture file. Throws std::runtime_error on I/O failure or a

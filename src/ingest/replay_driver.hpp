@@ -37,6 +37,12 @@ struct ReplayReport {
 /// see ROADMAP). Pumping changes only *when* results surface, never their
 /// values or canonical order.
 ///
+/// Per packet the order is fixed: `source.next()` → `hooks.onPacket` →
+/// `engine.onPacket`, and packet i's hook runs before packet i+1 is pulled
+/// (tested contract). A source may therefore expose state about the packet
+/// it pulled last — a paced source's due time, say — and a hook reads it
+/// for exactly that packet; pulling ahead in batches would break this.
+///
 /// Canonical ordering makes the output a pure function of the packet stream:
 /// replaying a written capture yields results bit-identical to feeding the
 /// same packets to `onPacket` directly, for any worker count (tested

@@ -14,7 +14,7 @@ void encodeIpv4(const Ipv4Header& h, std::vector<std::uint8_t>& out) {
   w.u8(h.tos);
   w.u16(h.totalLength);
   w.u16(h.identification);
-  w.u16(0);  // flags / fragment offset: DF not set, no fragmentation
+  w.u16(h.flagsFragment);
   w.u8(h.ttl);
   w.u8(h.protocol);
   w.u16(0);  // checksum placeholder
@@ -41,7 +41,7 @@ std::optional<Ipv4Header> decodeIpv4(std::span<const std::uint8_t> data,
   h.tos = r.u8();
   h.totalLength = r.u16();
   h.identification = r.u16();
-  r.skip(2);  // flags / fragment offset
+  h.flagsFragment = r.u16();
   h.ttl = r.u8();
   h.protocol = r.u8();
   r.skip(2);  // checksum (verified above)

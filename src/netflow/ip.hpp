@@ -22,10 +22,17 @@ struct Ipv4Header {
   std::uint8_t tos = 0;
   std::uint16_t totalLength = 0;  // header + payload
   std::uint16_t identification = 0;
+  /// Flags (top 3 bits) and fragment offset (low 13 bits, in 8-byte units)
+  /// as on the wire.
+  std::uint16_t flagsFragment = 0;
   std::uint8_t ttl = 64;
   std::uint8_t protocol = kIpProtoUdp;
   std::uint32_t srcAddr = 0;
   std::uint32_t dstAddr = 0;
+
+  /// True for any fragment of a larger datagram: more-fragments set, or a
+  /// non-zero offset. Only the first fragment carries the transport header.
+  bool isFragment() const { return (flagsFragment & 0x3FFF) != 0; }
 
   friend bool operator==(const Ipv4Header&, const Ipv4Header&) = default;
 };

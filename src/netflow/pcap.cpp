@@ -1,6 +1,8 @@
 #include "netflow/pcap.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
@@ -92,21 +94,30 @@ RecordHeader parseRecordHeader(const std::uint8_t* p, bool swap) {
   return h;
 }
 
-/// Decodes one captured record's wire bytes into a PcapRecord, or skips it
-/// (updating `stats`) when the headers are not a well-formed IPv4/UDP pair.
-std::optional<PcapRecord> decodeRecord(std::span<const std::uint8_t> wire,
-                                       const RecordHeader& header, bool nano,
-                                       PcapParseStats& stats) {
+/// Decodes one captured record's wire bytes into `out`, or skips it
+/// (updating `stats`, leaving `out` untouched) when the headers are not a
+/// well-formed IPv4/UDP pair of an unfragmented datagram.
+bool decodeRecord(std::span<const std::uint8_t> wire,
+                  const RecordHeader& header, bool nano, PcapParseStats& stats,
+                  PcapRecord& out) {
   std::size_t ipLen = 0;
   const auto ip = decodeIpv4(wire, ipLen);
-  if (!ip || ip->protocol != kIpProtoUdp) {
+  if (!ip) {
     ++stats.skippedNonUdp;
-    return std::nullopt;
+    return false;
+  }
+  if (ip->isFragment()) {
+    ++stats.skippedFragments;
+    return false;
+  }
+  if (ip->protocol != kIpProtoUdp) {
+    ++stats.skippedNonUdp;
+    return false;
   }
   const auto rest = wire.subspan(ipLen);
   if (rest.size() < kUdpHeaderSize) {
     ++stats.skippedNonUdp;
-    return std::nullopt;
+    return false;
   }
   // Check the UDP length field before deriving a payload size from it: a
   // corrupt length below the 8-byte header would underflow
@@ -120,19 +131,18 @@ std::optional<PcapRecord> decodeRecord(std::span<const std::uint8_t> wire,
       ip->totalLength >= ipLen ? ip->totalLength - ipLen : 0;
   if (udpLength < kUdpHeaderSize || udpLength > ipPayload) {
     ++stats.skippedBadUdpLength;
-    return std::nullopt;
+    return false;
   }
   const auto udp = decodeUdp(rest);
   if (!udp) {
     ++stats.skippedNonUdp;
-    return std::nullopt;
+    return false;
   }
 
-  PcapRecord rec;
-  rec.flow.srcIp = ip->srcAddr;
-  rec.flow.dstIp = ip->dstAddr;
-  rec.flow.srcPort = udp->srcPort;
-  rec.flow.dstPort = udp->dstPort;
+  out.flow.srcIp = ip->srcAddr;
+  out.flow.dstIp = ip->dstAddr;
+  out.flow.srcPort = udp->srcPort;
+  out.flow.dstPort = udp->dstPort;
 
   // A corrupt fractional part >= one second would spill into the next
   // second and break the non-decreasing arrival order the estimators
@@ -143,17 +153,37 @@ std::optional<PcapRecord> decodeRecord(std::span<const std::uint8_t> wire,
     frac = fracLimit;
     ++stats.clampedTimestamps;
   }
-  rec.packet.arrivalNs =
+  Packet& packet = out.packet;
+  packet.arrivalNs =
       static_cast<common::TimeNs>(header.tsSec) * common::kNanosPerSecond +
       (nano ? frac : frac * static_cast<common::TimeNs>(1000));
-  rec.packet.sizeBytes = static_cast<std::uint32_t>(udp->length) -
-                         static_cast<std::uint32_t>(kUdpHeaderSize);
-  const std::size_t payloadOffset = ipLen + kUdpHeaderSize;
-  if (wire.size() > payloadOffset) {
-    rec.packet.setHead(wire.subspan(payloadOffset));
-  }
+  packet.departureNs = 0;
+  packet.sizeBytes = static_cast<std::uint32_t>(udp->length) -
+                     static_cast<std::uint32_t>(kUdpHeaderSize);
+  // The caller's record is reused across calls: the bytes past the new
+  // head are zeroed, so it reads exactly like a freshly decoded one.
+  packet.setHead(rest.subspan(kUdpHeaderSize));
+  std::fill(packet.head.begin() + packet.headLen, packet.head.end(),
+            std::uint8_t{0});
   ++stats.recordsYielded;
-  return rec;
+  return true;
+}
+
+/// Opens `path` unbuffered and returns its global header bytes. Unbuffered
+/// because `PcapFileReader` reads whole blocks into its own buffer: a
+/// stream buffer would add a copy, and read ahead at open.
+std::array<std::uint8_t, kPcapGlobalHeaderSize> openCapture(
+    std::ifstream& in, const std::string& path) {
+  in.rdbuf()->pubsetbuf(nullptr, 0);
+  in.open(path, std::ios::binary);
+  if (!in) throw std::runtime_error("pcap: cannot open " + path);
+  std::array<std::uint8_t, kPcapGlobalHeaderSize> header{};
+  in.read(reinterpret_cast<char*>(header.data()),
+          static_cast<std::streamsize>(header.size()));
+  if (in.gcount() != static_cast<std::streamsize>(header.size())) {
+    throw std::runtime_error("pcap: file too short");
+  }
+  return header;
 }
 
 }  // namespace
@@ -219,94 +249,91 @@ void PcapWriter::save(const std::string& path) const {
   if (!out) throw std::runtime_error("pcap: write failed for " + path);
 }
 
-PcapReader::PcapReader(std::span<const std::uint8_t> data) : data_(data) {
-  const auto format = parseGlobalHeader(data_);
+PcapRecordWalker::PcapRecordWalker(
+    std::span<const std::uint8_t> globalHeader) {
+  const auto format = parseGlobalHeader(globalHeader);
   swap_ = format.swap;
   nano_ = format.nano;
 }
 
-std::optional<PcapRecord> PcapReader::next() {
+bool PcapRecordWalker::next(std::span<const std::uint8_t> bytes,
+                            std::size_t& pos, PcapRecord& out) {
   while (!done_) {
-    const std::size_t remaining = data_.size() - pos_;
-    if (remaining == 0) {
-      done_ = true;
-      break;
-    }
-    if (remaining < kPcapRecordHeaderSize) {
+    const std::size_t remaining = bytes.size() - pos;
+    if (remaining < kPcapRecordHeaderSize) return false;
+    const auto header = parseRecordHeader(bytes.data() + pos, swap_);
+    if (header.capLen > kPcapMaxRecordBytes) {
+      // Lost framing: nothing after this header can be trusted.
       ++stats_.truncatedRecords;
       done_ = true;
-      break;
+      return false;
     }
-    const auto header = parseRecordHeader(data_.data() + pos_, swap_);
-    if (header.capLen > remaining - kPcapRecordHeaderSize) {
-      // The record claims more bytes than the stream holds: a cut-off tail
-      // (or lost framing). Keep everything parsed so far, drop the rest.
-      ++stats_.truncatedRecords;
-      done_ = true;
-      break;
-    }
-    const auto wire =
-        data_.subspan(pos_ + kPcapRecordHeaderSize, header.capLen);
-    pos_ += kPcapRecordHeaderSize + header.capLen;
-    if (auto rec = decodeRecord(wire, header, nano_, stats_)) return rec;
+    if (header.capLen > remaining - kPcapRecordHeaderSize) return false;
+    const auto wire = bytes.subspan(pos + kPcapRecordHeaderSize, header.capLen);
+    pos += kPcapRecordHeaderSize + header.capLen;
+    if (decodeRecord(wire, header, nano_, stats_, out)) return true;
   }
-  return std::nullopt;
+  return false;
+}
+
+std::size_t PcapRecordWalker::recordBytesAt(
+    std::span<const std::uint8_t> bytes, std::size_t pos) const {
+  if (bytes.size() - pos < kPcapRecordHeaderSize) return kPcapRecordHeaderSize;
+  return kPcapRecordHeaderSize +
+         parseRecordHeader(bytes.data() + pos, swap_).capLen;
+}
+
+void PcapRecordWalker::endOfStream(std::size_t leftover) {
+  // A cut-off tail (capture stopped mid-write): keep everything parsed so
+  // far, drop the rest.
+  if (leftover > 0) ++stats_.truncatedRecords;
+  done_ = true;
+}
+
+PcapReader::PcapReader(std::span<const std::uint8_t> data)
+    : data_(data), walker_(data) {}
+
+bool PcapReader::next(PcapRecord& out) {
+  if (walker_.next(data_, pos_, out)) return true;
+  if (!walker_.done()) walker_.endOfStream(data_.size() - pos_);
+  return false;
 }
 
 PcapFileReader::PcapFileReader(const std::string& path)
-    : in_(path, std::ios::binary) {
-  if (!in_) throw std::runtime_error("pcap: cannot open " + path);
-  std::uint8_t header[kPcapGlobalHeaderSize];
-  in_.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(header))) {
-    throw std::runtime_error("pcap: file too short");
+    : walker_(openCapture(in_, path)) {}
+
+bool PcapFileReader::next(PcapRecord& out) {
+  for (;;) {
+    if (walker_.next({block_.data(), end_}, pos_, out)) return true;
+    if (walker_.done()) return false;
+    if (!refill()) {
+      walker_.endOfStream(end_ - pos_);
+      return false;
+    }
   }
-  const auto format = parseGlobalHeader({header, sizeof(header)});
-  swap_ = format.swap;
-  nano_ = format.nano;
 }
 
-std::optional<PcapRecord> PcapFileReader::next() {
-  // A record larger than this is not something our writer (or any sane
-  // snaplen) produces; treat it as lost framing rather than allocating GBs.
-  constexpr std::uint32_t kMaxRecordBytes = 1u << 24;
-
-  while (!done_) {
-    std::uint8_t header[kPcapRecordHeaderSize];
-    in_.read(reinterpret_cast<char*>(header), sizeof(header));
-    const auto got = in_.gcount();
-    if (got == 0) {
-      done_ = true;
-      break;
-    }
-    if (got != static_cast<std::streamsize>(sizeof(header))) {
-      ++stats_.truncatedRecords;
-      done_ = true;
-      break;
-    }
-    const auto rec = parseRecordHeader(header, swap_);
-    if (rec.capLen > kMaxRecordBytes) {
-      ++stats_.truncatedRecords;
-      done_ = true;
-      break;
-    }
-    wire_.resize(rec.capLen);
-    in_.read(reinterpret_cast<char*>(wire_.data()), rec.capLen);
-    if (in_.gcount() != static_cast<std::streamsize>(rec.capLen)) {
-      ++stats_.truncatedRecords;
-      done_ = true;
-      break;
-    }
-    if (auto parsed = decodeRecord(wire_, rec, nano_, stats_)) return parsed;
-  }
-  return std::nullopt;
+bool PcapFileReader::refill() {
+  const std::size_t leftover = end_ - pos_;
+  const std::size_t size = std::max(
+      kBlockBytes, walker_.recordBytesAt({block_.data(), end_}, pos_));
+  if (block_.size() < size) block_.resize(size);
+  std::memmove(block_.data(), block_.data() + pos_, leftover);
+  pos_ = 0;
+  end_ = leftover;
+  in_.read(reinterpret_cast<char*>(block_.data() + end_),
+           static_cast<std::streamsize>(block_.size() - end_));
+  const auto got = static_cast<std::size_t>(in_.gcount());
+  end_ += got;
+  return got > 0;
 }
 
 std::vector<PcapRecord> parsePcap(std::span<const std::uint8_t> data,
                                   PcapParseStats* stats) {
   PcapReader reader(data);
   std::vector<PcapRecord> records;
-  while (auto rec = reader.next()) records.push_back(std::move(*rec));
+  PcapRecord rec;
+  while (reader.next(rec)) records.push_back(rec);
   if (stats != nullptr) *stats = reader.stats();
   return records;
 }
@@ -315,7 +342,8 @@ std::vector<PcapRecord> loadPcap(const std::string& path,
                                  PcapParseStats* stats) {
   PcapFileReader reader(path);
   std::vector<PcapRecord> records;
-  while (auto rec = reader.next()) records.push_back(std::move(*rec));
+  PcapRecord rec;
+  while (reader.next(rec)) records.push_back(rec);
   if (stats != nullptr) *stats = reader.stats();
   return records;
 }

@@ -451,6 +451,75 @@ TEST(EngineStress, ImmediateFinishWhileWorkersBlockedOnFullRings) {
   EXPECT_GT(results.size(), 16u);  // > total ring slots: workers had to park
 }
 
+/// The batch pool's backpressure: no poll() during the feed and 2-slot
+/// result rings park every worker on a full ring, so the dispatcher uses
+/// up each shard's pool and must wait for buffers, draining the rings
+/// itself meanwhile. The feed must complete, no shard may ever hold more
+/// than the pool's packets, and the output must match one worker exactly.
+TEST(EngineStress, UsedUpBatchPoolWithoutPollingMatchesSingleWorker) {
+  constexpr int kFlows = 12;
+  constexpr std::size_t kDispatchBatch = 4;
+  constexpr std::uint64_t kPoolPackets =
+      MultiFlowEngine::kBatchPool * kDispatchBatch;
+  std::vector<netflow::FlowKey> keys;
+  std::vector<std::pair<std::uint32_t, netflow::Packet>> stream;
+  for (int f = 0; f < kFlows; ++f) {
+    keys.push_back(syntheticFlowKey(static_cast<std::uint32_t>(f)));
+    for (const auto& packet :
+         syntheticFlowTrace(61u + static_cast<std::uint64_t>(f), 1800,
+                            /*startNs=*/f * 29'000)) {
+      stream.emplace_back(static_cast<std::uint32_t>(f), packet);
+    }
+  }
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.arrivalNs < b.second.arrivalNs;
+                   });
+
+  const auto run = [&](int workers) {
+    EngineOptions options;
+    options.numWorkers = workers;
+    options.dispatchBatch = kDispatchBatch;
+    options.resultRingCapacity = 2;
+    MultiFlowEngine engine(options);
+    std::uint64_t maxBacklog = 0;
+    for (const auto& [flow, packet] : stream) {
+      engine.onPacket(keys[flow], packet);
+      for (const auto& load : engine.stats().shardLoads) {
+        maxBacklog = std::max(maxBacklog, load.backlog);
+      }
+    }
+    EXPECT_LE(maxBacklog, kPoolPackets) << workers << " workers";
+    // Nothing polled, nothing migrated: a window already counted as
+    // drained was drained by the dispatcher waiting on a used-up pool.
+    std::uint64_t drainedWhileFeeding = 0;
+    for (const auto& flow : engine.flowStats()) {
+      drainedWhileFeeding += flow.windowsEmitted;
+    }
+    EXPECT_GT(drainedWhileFeeding, 0u) << workers << " workers";
+    return engine.finish();  // canonical (flow, window) order
+  };
+
+  const auto sequential = run(1);
+  const auto sharded = run(4);
+  ASSERT_GT(sequential.size(),
+            static_cast<std::size_t>(2 * kFlows));  // > every ring's slots
+  ASSERT_EQ(sharded.size(), sequential.size());
+  for (std::size_t i = 0; i < sequential.size(); ++i) {
+    ASSERT_EQ(sharded[i].flow, sequential[i].flow);
+    ASSERT_EQ(sharded[i].output.window, sequential[i].output.window);
+    ASSERT_EQ(sharded[i].output.features, sequential[i].output.features);
+    ASSERT_EQ(sharded[i].output.heuristic.fps,
+              sequential[i].output.heuristic.fps);
+    ASSERT_EQ(sharded[i].output.heuristic.bitrateKbps,
+              sequential[i].output.heuristic.bitrateKbps);
+    ASSERT_EQ(sharded[i].output.heuristic.frameJitterMs,
+              sequential[i].output.heuristic.frameJitterMs);
+    ASSERT_EQ(sharded[i].output.heuristic.frameCount,
+              sequential[i].output.heuristic.frameCount);
+  }
+}
+
 TEST(LiveCaptureStress, ProducerConsumerHandoffDeliversEverythingOnce) {
   ingest::LiveCaptureStub capture;
   constexpr std::uint64_t kPackets = 30'000;

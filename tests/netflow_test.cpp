@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "common/rng.hpp"
 #include "netflow/bytes.hpp"
@@ -63,6 +65,39 @@ TEST(Bytes, InternetChecksumKnownVector) {
   EXPECT_EQ(internetChecksum(withSum), 0);
 }
 
+// The word-at-a-time checksum against the byte-pair definition of RFC 1071
+// (a big-endian 16-bit sum, an odd last byte padded on the right), over
+// every length up to 64 and every alignment of the data.
+TEST(Bytes, ChecksumMatchesBytePairDefinition) {
+  const auto reference = [](std::span<const std::uint8_t> data) {
+    std::uint32_t sum = 0;
+    std::size_t i = 0;
+    for (; i + 1 < data.size(); i += 2) {
+      sum += (static_cast<std::uint32_t>(data[i]) << 8) | data[i + 1];
+    }
+    if (i < data.size()) sum += static_cast<std::uint32_t>(data[i]) << 8;
+    while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+    return static_cast<std::uint16_t>(~sum);
+  };
+  common::Rng rng(1071);
+  std::vector<std::uint8_t> bytes(80);
+  for (int round = 0; round < 50; ++round) {
+    for (auto& b : bytes) {
+      // Mostly 0xFF to drive the end-around carries.
+      b = static_cast<std::uint8_t>(round % 2 == 0 ? rng.uniformInt(0, 255)
+                                                   : 0xFF - rng.uniformInt(0, 1));
+    }
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      for (std::size_t length = 0; length <= 64; ++length) {
+        const std::span<const std::uint8_t> data(bytes.data() + offset,
+                                                 length);
+        ASSERT_EQ(internetChecksum(data), reference(data))
+            << "offset " << offset << " length " << length;
+      }
+    }
+  }
+}
+
 TEST(Bytes, ChecksumOddLength) {
   const std::vector<std::uint8_t> data = {0xFF, 0x00, 0xAB};
   // Should not crash and be stable.
@@ -87,6 +122,23 @@ TEST(Ip, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(consumed, kIpv4HeaderSize);
   EXPECT_EQ(*decoded, h);
+}
+
+TEST(Ip, FragmentFieldRoundTripsAndClassifies) {
+  Ipv4Header h;
+  h.totalLength = 100;
+  std::vector<std::uint8_t> buf;
+  for (const std::uint16_t field : {0x0000, 0x4000, 0x2000, 0x00B9, 0x40B9}) {
+    h.flagsFragment = field;
+    buf.clear();
+    encodeIpv4(h, buf);
+    std::size_t consumed = 0;
+    const auto decoded = decodeIpv4(buf, consumed);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->flagsFragment, field);
+    // Don't-fragment alone is a whole datagram; MF or an offset is not.
+    EXPECT_EQ(decoded->isFragment(), field != 0x0000 && field != 0x4000);
+  }
 }
 
 TEST(Ip, DecodeRejectsBadChecksum) {
@@ -444,6 +496,72 @@ TEST(Pcap, UdpLengthBeyondIpPayloadIsSkipped) {
   EXPECT_EQ(stats.skippedBadUdpLength, 1u);
 }
 
+/// IPv4 header with the given flags/fragment field, then `payload` as the
+/// bytes after it (a UDP header only for a first fragment).
+std::vector<std::uint8_t> craftIpWire(const FlowKey& flow,
+                                      std::uint16_t flagsFragment,
+                                      std::uint16_t ipTotalLength,
+                                      std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> wire;
+  Ipv4Header ip;
+  ip.totalLength = ipTotalLength;
+  ip.flagsFragment = flagsFragment;
+  ip.srcAddr = flow.srcIp;
+  ip.dstAddr = flow.dstIp;
+  encodeIpv4(ip, wire);
+  wire.insert(wire.end(), payload.begin(), payload.end());
+  return wire;
+}
+
+// A later fragment's payload is datagram bytes, not a UDP header. Read as
+// one, offset 185 with payload 12 34 56 78 00 32 00 00 used to come back as
+// a 42-byte packet of a phantom flow 4660 -> 22136. Every fragment (MF set
+// or a non-zero offset) is skipped and counted; don't-fragment is not a
+// fragment.
+TEST(Pcap, IpFragmentsAreSkippedAndCounted) {
+  auto file = craftGlobalHeader(kPcapMagicNano, false);
+  const std::vector<std::uint8_t> lookalike = {0x12, 0x34, 0x56, 0x78,
+                                               0x00, 0x32, 0x00, 0x00};
+  craftRecord(file, 1, 0,
+              craftIpWire(testFlow(), /*offset*/ 185, kIpv4HeaderSize + 50,
+                          lookalike),
+              false);
+  // First fragment (MF, offset 0): a real UDP header whose length covers
+  // the whole datagram.
+  auto first = craftUdpWire(testFlow(), kUdpHeaderSize + 3000, kIpProtoUdp,
+                            kIpv4HeaderSize + 1480);
+  first[6] = 0x20;  // MF
+  first[10] = first[11] = 0;
+  const auto firstSum =
+      internetChecksum(std::span<const std::uint8_t>(first).first(20));
+  first[10] = static_cast<std::uint8_t>(firstSum >> 8);
+  first[11] = static_cast<std::uint8_t>(firstSum);
+  craftRecord(file, 2, 0, first, false);
+  // Last fragment (offset only, MF clear).
+  craftRecord(file, 3, 0,
+              craftIpWire(testFlow(), 370, kIpv4HeaderSize + 48, lookalike),
+              false);
+  // Don't-fragment set: a whole datagram, kept.
+  auto whole = craftUdpWire(testFlow(), kUdpHeaderSize + 100);
+  whole[6] = 0x40;  // DF
+  whole[10] = whole[11] = 0;
+  const auto wholeSum =
+      internetChecksum(std::span<const std::uint8_t>(whole).first(20));
+  whole[10] = static_cast<std::uint8_t>(wholeSum >> 8);
+  whole[11] = static_cast<std::uint8_t>(wholeSum);
+  craftRecord(file, 4, 0, whole, false);
+
+  PcapParseStats stats;
+  const auto records = parsePcap(file, &stats);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].flow, testFlow());
+  EXPECT_EQ(records[0].packet.sizeBytes, 100u);
+  EXPECT_EQ(stats.skippedFragments, 3u);
+  EXPECT_EQ(stats.skippedNonUdp, 0u);
+  EXPECT_EQ(stats.skippedBadUdpLength, 0u);
+  EXPECT_EQ(stats.recordsYielded, 1u);
+}
+
 TEST(Pcap, NonUdpRecordsAreSkipped) {
   auto file = craftGlobalHeader(kPcapMagicNano, false);
   const auto tcp = craftUdpWire(testFlow(), kUdpHeaderSize + 50,
@@ -561,7 +679,8 @@ TEST(Pcap, StreamingReaderMatchesBatchParse) {
 
   PcapReader reader(writer.bytes());
   std::vector<PcapRecord> got;
-  while (auto rec = reader.next()) got.push_back(*rec);
+  PcapRecord rec;
+  while (reader.next(rec)) got.push_back(rec);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].flow, want[i].flow);
@@ -586,9 +705,10 @@ TEST(Pcap, FileReaderStreamsWithoutLoadingWholeFile) {
   PcapFileReader reader(path);
   std::size_t count = 0;
   common::TimeNs lastArrival = -1;
-  while (auto rec = reader.next()) {
-    EXPECT_GT(rec->packet.arrivalNs, lastArrival);
-    lastArrival = rec->packet.arrivalNs;
+  PcapRecord rec;
+  while (reader.next(rec)) {
+    EXPECT_GT(rec.packet.arrivalNs, lastArrival);
+    lastArrival = rec.packet.arrivalNs;
     ++count;
   }
   std::remove(path.c_str());
@@ -618,6 +738,146 @@ TEST(Pcap, FileReaderSkipsTruncatedTail) {
   std::remove(path.c_str());
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(stats.truncatedRecords, 1u);
+}
+
+// ------------------------------------------- block reader at the edges
+
+/// Reads `bytes` with both readers, the file reader through a temp file,
+/// and expects the same records and the same skip counters.
+void expectReadersAgree(const std::vector<std::uint8_t>& bytes,
+                        std::size_t expectRecords) {
+  // One file per test: ctest runs the tests as parallel processes.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("vcaqoe_" +
+        std::string(
+            ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+        ".pcap"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  PcapReader memory(bytes);
+  PcapFileReader file(path);
+  PcapRecord a;
+  PcapRecord b;
+  std::size_t records = 0;
+  for (;;) {
+    const bool gotA = memory.next(a);
+    const bool gotB = file.next(b);
+    ASSERT_EQ(gotA, gotB) << "record " << records;
+    if (!gotA) break;
+    EXPECT_EQ(a.flow, b.flow) << "record " << records;
+    EXPECT_EQ(a.packet.arrivalNs, b.packet.arrivalNs) << "record " << records;
+    EXPECT_EQ(a.packet.sizeBytes, b.packet.sizeBytes) << "record " << records;
+    EXPECT_EQ(a.packet.head, b.packet.head) << "record " << records;
+    EXPECT_EQ(a.packet.headLen, b.packet.headLen) << "record " << records;
+    ++records;
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(records, expectRecords);
+  EXPECT_TRUE(memory.stats() == file.stats());
+}
+
+/// Appends a record of `capLen` zero bytes (not IPv4: skipped as non-UDP).
+void appendJunkRecord(std::vector<std::uint8_t>& out, std::uint32_t capLen) {
+  const std::vector<std::uint8_t> junk(capLen, 0);
+  craftRecord(out, 0, 0, junk, false);
+}
+
+/// One RTP-headed record as the writer emits it (16 + 48 bytes).
+std::vector<std::uint8_t> headedRecord(std::int64_t second) {
+  PcapWriter writer;
+  Packet p;
+  p.arrivalNs = second * common::kNanosPerSecond + 17;
+  p.sizeBytes = 900;
+  std::array<std::uint8_t, kHeadCapacity> head{};
+  for (std::size_t i = 0; i < head.size(); ++i) {
+    head[i] = static_cast<std::uint8_t>(0x80 + i);
+  }
+  p.setHead(head);
+  writer.write(testFlow(), p);
+  const auto& bytes = writer.bytes();
+  return {bytes.begin() + kPcapGlobalHeaderSize, bytes.end()};
+}
+
+// The file reader's first read fills one block from just after the global
+// header. Place a record so the block boundary falls on each of its bytes,
+// header and body alike (k = 0: the record starts the next block).
+TEST(Pcap, FileReaderMatchesMemoryAtEveryBlockEdgeOffset) {
+  const auto target = headedRecord(5);
+  const auto trailer = headedRecord(6);
+  for (std::size_t k = 0; k <= target.size(); ++k) {
+    SCOPED_TRACE("boundary at byte " + std::to_string(k) + " of the record");
+    auto file = craftGlobalHeader(kPcapMagicNano, false);
+    appendJunkRecord(file, static_cast<std::uint32_t>(
+                               PcapFileReader::kBlockBytes - k -
+                               kPcapRecordHeaderSize));
+    file.insert(file.end(), target.begin(), target.end());
+    file.insert(file.end(), trailer.begin(), trailer.end());
+    ASSERT_EQ(file.size() - kPcapGlobalHeaderSize,
+              PcapFileReader::kBlockBytes - k + target.size() + trailer.size());
+    expectReadersAgree(file, 2);
+  }
+}
+
+TEST(Pcap, FileReaderGrowsForRecordLargerThanBlock) {
+  auto file = craftGlobalHeader(kPcapMagicNano, false);
+  auto huge = craftUdpWire(testFlow(), kUdpHeaderSize + 1000);
+  huge.resize(PcapFileReader::kBlockBytes + 5000, 0xAB);  // snap beyond IP
+  craftRecord(file, 1, 0, huge, false);
+  const auto normal = headedRecord(2);
+  file.insert(file.end(), normal.begin(), normal.end());
+  expectReadersAgree(file, 2);
+
+  PcapParseStats stats;
+  const auto records = parsePcap(file, &stats);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].packet.sizeBytes, 1000u);
+  EXPECT_EQ(records[1].packet.sizeBytes, 900u);
+  EXPECT_EQ(stats.truncatedRecords, 0u);
+}
+
+TEST(Pcap, FileReaderTruncatedTailInsideStraddlingRecord) {
+  const auto straddler = headedRecord(3);
+  // The record starts 10 bytes before the block boundary; the file ends
+  // inside its header, inside its body, or one byte short of its end.
+  for (const std::size_t cut : {std::size_t{12}, std::size_t{40},
+                                straddler.size() - 1}) {
+    SCOPED_TRACE("cut after " + std::to_string(cut) + " bytes");
+    auto file = craftGlobalHeader(kPcapMagicNano, false);
+    appendJunkRecord(file,
+                     static_cast<std::uint32_t>(PcapFileReader::kBlockBytes -
+                                                10 - kPcapRecordHeaderSize));
+    file.insert(file.end(), straddler.begin(),
+                straddler.begin() + static_cast<std::ptrdiff_t>(cut));
+    expectReadersAgree(file, 0);
+    PcapParseStats stats;
+    (void)parsePcap(file, &stats);
+    EXPECT_EQ(stats.truncatedRecords, 1u);
+    EXPECT_EQ(stats.skippedNonUdp, 1u);
+  }
+}
+
+TEST(Pcap, FileReaderMatchesMemoryReaderAcrossManyBlocks) {
+  common::Rng rng(7);
+  PcapWriter writer(/*snaplen=*/kIpv4HeaderSize + kUdpHeaderSize + 13);
+  FlowKey other = testFlow();
+  other.dstPort = 7000;
+  for (int i = 0; i < 6000; ++i) {
+    Packet p;
+    p.arrivalNs = i * 1'000'000LL;
+    p.sizeBytes = static_cast<std::uint32_t>(rng.uniformInt(0, 1400));
+    std::array<std::uint8_t, kHeadCapacity> head{};
+    head.fill(static_cast<std::uint8_t>(i));
+    p.setHead(std::span<const std::uint8_t>(head).first(
+        std::min<std::size_t>(p.sizeBytes, head.size())));
+    writer.write(i % 5 == 0 ? other : testFlow(), p);
+  }
+  ASSERT_GT(writer.bytes().size(), 3 * PcapFileReader::kBlockBytes);
+  expectReadersAgree(writer.bytes(), 6000);
 }
 
 // dominantFlow dropped its ordered map for the shared FlowKeyHash; ties must
