@@ -451,11 +451,12 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "model registry     hits %llu, misses %llu, loads %llu, "
-        "load failures %llu\n",
+        "load failures %llu, load time %.2f ms\n",
         static_cast<unsigned long long>(stats.registry.hits),
         static_cast<unsigned long long>(stats.registry.misses),
         static_cast<unsigned long long>(stats.registry.loads),
-        static_cast<unsigned long long>(stats.registry.loadFailures));
+        static_cast<unsigned long long>(stats.registry.loadFailures),
+        static_cast<double>(stats.registry.loadWallNs) / 1e6);
   }
   std::printf("flows seen         %zu (peak resident bounded by eviction)\n",
               stats.flows);

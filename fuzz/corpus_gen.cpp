@@ -153,6 +153,40 @@ void genForest(const fs::path& dir) {
             "tree 2\n"
             "0 0.5 0 1 0\n"
             "-1 0 0 0 3.25\n");
+
+  // Declared counts past the bytes left: the loaders used to zero-fill the
+  // arrays (320 MiB flat, 512 MiB node tree) before failing as truncated.
+  // The count bound must reject both before allocating.
+  writeFile(dir / "nodes-past-eof.fforest",
+            "vcaqoe-forest-flat 1\ntask regression\nfeatures 1\n"
+            "roots 1 0\nnodes 16777216\n0 0.5 -1 -2\n");
+  writeFile(dir / "tree-past-eof.forest",
+            "vcaqoe-forest 1\ntask regression\nfeatures 1 x\n"
+            "importance 1 1\ntrees 1\ntree 16777216\n-1 0 0 0 3.25\n");
+
+  // Tokens where from_chars and istream >> disagree, which the loaders must
+  // read as istream did. These load: CRLF line ends, tabs, '+' signs, an
+  // underflowing threshold (reads as 0), -0 and a denormal leaf, numbers
+  // glued by their signs, no final newline.
+  writeFile(dir / "edge-tokens.fforest",
+            "vcaqoe-forest-flat 1\r\ntask\tregression\r\nfeatures +1\r\n"
+            "roots 1 +0\r\nnodes 2\r\n0 +.5 -1 1\r\n0 1e-400-2-3\r\n"
+            "leaves 3 -0 4.9406564584124654e-324 1e5\r\nend");
+  writeFile(dir / "edge-tokens.forest",
+            "vcaqoe-forest 1\r\ntask\tregression\r\nfeatures +1 x\r\n"
+            "importance 1 +1\r\ntrees 1\r\ntree 3\r\n0 0.5 1+2-0\r\n"
+            "-1 0 0 0 -1e-400\r\n-1\t0\t0\t0\t7");
+  // These fail: "inf", an exponent without digits ("5end"), an int32
+  // child reference one past INT32_MAX.
+  const std::string flatHead =
+      "vcaqoe-forest-flat 1\ntask regression\nfeatures 1\nroots 1 0\n"
+      "nodes 1\n";
+  writeFile(dir / "inf-threshold.fforest",
+            flatHead + "0 inf -1 -2\nleaves 2 1 2\nend\n");
+  writeFile(dir / "dangling-exponent.fforest",
+            flatHead + "0 0.5 -1 -2\nleaves 2 1 5end\n");
+  writeFile(dir / "child-overflow.fforest",
+            flatHead + "0 0.5 2147483648 -2\nleaves 2 1 2\nend\n");
 }
 
 void genJson(const fs::path& dir) {

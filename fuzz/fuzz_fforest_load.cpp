@@ -5,25 +5,44 @@
 // an out-of-bounds read, an unbounded allocation, or a hang (the corpus
 // keeps `cyclic-tree.forest`, a self-referencing node that used to loop
 // `DecisionTree::predict` forever). Anything that loads must be safely
-// evaluable.
+// evaluable, and every input must load exactly as under the `istream >>`
+// reference loaders (tests/serialize_reference.hpp): same accept/reject
+// decision, same arrays bit for bit.
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ml/flattened_forest.hpp"
 #include "ml/serialize.hpp"
+#include "tests/serialize_reference.hpp"
 
 #define FUZZ_CHECK(cond) \
   do {                   \
     if (!(cond)) __builtin_trap(); \
   } while (0)
 
+namespace {
+
+/// True when the loader rejected a declared count whose payload cannot fit
+/// in the bytes left. The reference loader zero-fills such a count's arrays
+/// before reading them (up to 512 MiB for 2^24 nodes), so the differential
+/// leg skips these inputs; the bound only fires where the reference fails
+/// as truncated.
+bool rejectedByCountBound(const std::runtime_error& e) {
+  return std::string_view(e.what()).find("bytes left") !=
+         std::string_view::npos;
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
 
+  bool treeBounded = false;
   try {
     std::istringstream in(text);
     const auto forest = vcaqoe::ml::loadForest(in);
@@ -34,16 +53,28 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const vcaqoe::ml::FlattenedForest flat(forest);
     FUZZ_CHECK(flat.trained());
     (void)flat.predict(row);
-  } catch (const std::runtime_error&) {
+  } catch (const std::runtime_error& e) {
     // "model load: ..." — the documented rejection path.
+    treeBounded = rejectedByCountBound(e);
   }
 
+  bool flatBounded = false;
   try {
     std::istringstream in(text);
     const auto flat = vcaqoe::ml::loadFlattenedForest(in);
     const std::vector<double> row(flat.featureCount(), 0.5);
     (void)flat.predict(row);
-  } catch (const std::runtime_error&) {
+  } catch (const std::runtime_error& e) {
+    flatBounded = rejectedByCountBound(e);
+  }
+
+  // Differential leg: the one-pass parser makes the istream reference's
+  // decision and, where both load, the same arrays bit for bit.
+  if (!treeBounded) {
+    FUZZ_CHECK(vcaqoe::ml::reference::treeDifference(text).empty());
+  }
+  if (!flatBounded) {
+    FUZZ_CHECK(vcaqoe::ml::reference::flatDifference(text).empty());
   }
   return 0;
 }

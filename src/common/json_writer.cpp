@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/parse.hpp"
+
 namespace vcaqoe::common {
 
 JsonValue::JsonValue(std::uint64_t value) {
@@ -397,39 +399,6 @@ class Parser {
     return false;
   }
 
-  /// Resolves a grammar-valid number token that from_chars reported out of
-  /// double range: overflow clamps to +/-HUGE_VAL, underflow to +/-0.0.
-  static double outOfRangeValue(std::string_view token) {
-    const bool negative = !token.empty() && token.front() == '-';
-    // Count significant integer digits (leading '-' / zeros stripped).
-    std::size_t i = negative ? 1 : 0;
-    while (i < token.size() && token[i] == '0') ++i;
-    std::int64_t intDigits = 0;
-    while (i < token.size() && token[i] >= '0' && token[i] <= '9') {
-      ++i;
-      ++intDigits;
-    }
-    // Explicit exponent, clamped so absurd exponents cannot overflow the
-    // arithmetic below.
-    std::int64_t exponent = 0;
-    const std::size_t e = token.find_first_of("eE");
-    if (e != std::string_view::npos) {
-      const bool expNegative = token[e + 1] == '-';
-      std::size_t d = e + 1 + (expNegative || token[e + 1] == '+' ? 1 : 0);
-      for (; d < token.size(); ++d) {
-        exponent = std::min<std::int64_t>(exponent * 10 + (token[d] - '0'),
-                                          std::int64_t{1} << 40);
-      }
-      if (expNegative) exponent = -exponent;
-    }
-    // Decimal magnitude ~ exponent + integer-digit count; doubles overflow
-    // past ~1e308 and underflow below ~1e-324, so the sign of the estimate
-    // is decisive for any out-of-range token.
-    const bool overflow = exponent + intDigits > 0;
-    const double magnitude = overflow ? HUGE_VAL : 0.0;
-    return negative ? -magnitude : magnitude;
-  }
-
   bool parseNumber(JsonValue& out) {
     const std::size_t start = pos_;
     // Validate against the JSON grammar (stricter than strtod: no leading
@@ -495,8 +464,8 @@ class Parser {
       // untouched here — "-1e999999" would silently become 0.0 — so decide
       // overflow vs underflow from the token's decimal exponent ourselves.
       // The two regimes are hundreds of decimal orders apart, so the crude
-      // exponent estimate below cannot pick the wrong side.
-      out = JsonValue(outOfRangeValue(token));
+      // exponent estimate in `outOfRangeDouble` cannot pick the wrong side.
+      out = JsonValue(outOfRangeDouble(token));
       return true;
     }
     if (result.ec != std::errc() || result.ptr != token.data() + token.size()) {

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -39,6 +41,43 @@ inline std::optional<double> parseDouble(std::string_view text) {
     return std::nullopt;
   }
   return value;
+}
+
+/// Resolves a decimal number token that `std::from_chars` parsed but
+/// reported out of double range, as strtod would: overflow to +/-HUGE_VAL,
+/// underflow to +/-0.0. libstdc++'s from_chars leaves its output untouched
+/// in that case, so "-1e999999" would otherwise read as 0.0. The token is
+/// what from_chars consumed (optional '-', digits with an optional point,
+/// optional exponent).
+inline double outOfRangeDouble(std::string_view token) {
+  const bool negative = !token.empty() && token.front() == '-';
+  // Count significant integer digits (leading '-' / zeros stripped).
+  std::size_t i = negative ? 1 : 0;
+  while (i < token.size() && token[i] == '0') ++i;
+  std::int64_t intDigits = 0;
+  while (i < token.size() && token[i] >= '0' && token[i] <= '9') {
+    ++i;
+    ++intDigits;
+  }
+  // Explicit exponent, clamped so absurd exponents cannot overflow the
+  // arithmetic below.
+  std::int64_t exponent = 0;
+  const std::size_t e = token.find_first_of("eE");
+  if (e != std::string_view::npos) {
+    const bool expNegative = token[e + 1] == '-';
+    std::size_t d = e + 1 + (expNegative || token[e + 1] == '+' ? 1 : 0);
+    for (; d < token.size(); ++d) {
+      exponent = std::min<std::int64_t>(exponent * 10 + (token[d] - '0'),
+                                        std::int64_t{1} << 40);
+    }
+    if (expNegative) exponent = -exponent;
+  }
+  // Decimal magnitude ~ exponent + integer-digit count; doubles overflow
+  // past ~1e308 and underflow below ~1e-324, so the sign of the estimate
+  // is decisive for any out-of-range token.
+  const bool overflow = exponent + intDigits > 0;
+  const double magnitude = overflow ? HUGE_VAL : 0.0;
+  return negative ? -magnitude : magnitude;
 }
 
 }  // namespace vcaqoe::common

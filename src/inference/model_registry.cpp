@@ -1,5 +1,6 @@
 #include "inference/model_registry.hpp"
 
+#include <chrono>
 #include <utility>
 
 #include "ml/serialize.hpp"
@@ -51,6 +52,7 @@ std::shared_ptr<const InferenceBackend> ModelRegistry::lookupOrLoad(
 
   std::shared_ptr<const InferenceBackend> loaded;
   if (!options_.modelDir.empty()) {
+    const auto loadStart = std::chrono::steady_clock::now();
     const std::string slug(toString(target));
     // Loaded forests must fit the feature set's row width — a mismatched
     // model is a load failure (fallback served), not a mid-stream
@@ -106,6 +108,12 @@ std::shared_ptr<const InferenceBackend> ModelRegistry::lookupOrLoad(
       probeStem(options_.modelDir + "/" + vca + "/" + slug,
                 "forest:" + vca + "/" + slug);
     }
+    loadWallNs_.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - loadStart)
+                .count()),
+        std::memory_order_relaxed);
   }
   if (!loaded) misses_.fetch_add(1, std::memory_order_relaxed);
   backends_[key] = loaded;
@@ -192,6 +200,7 @@ RegistryStats ModelRegistry::stats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.loads = loads_.load(std::memory_order_relaxed);
   stats.loadFailures = loadFailures_.load(std::memory_order_relaxed);
+  stats.loadWallNs = loadWallNs_.load(std::memory_order_relaxed);
   return stats;
 }
 

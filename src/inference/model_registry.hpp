@@ -46,6 +46,11 @@ struct RegistryStats {
   std::uint64_t loads = 0;
   /// Model files that existed but failed to parse or fit the feature set.
   std::uint64_t loadFailures = 0;
+  /// Summed wall time of the disk probes behind lazy loads, hits on disk or
+  /// not. They run under the registry's writer lock on the resolving thread
+  /// (the dispatcher, for engine admissions), so this is how long flow
+  /// admission stalled on model files. Stays 0 without a `modelDir`.
+  std::uint64_t loadWallNs = 0;
 };
 
 struct ModelRegistryOptions {
@@ -131,6 +136,7 @@ class ModelRegistry {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> loads_{0};
   std::atomic<std::uint64_t> loadFailures_{0};
+  std::atomic<std::uint64_t> loadWallNs_{0};
 };
 
 }  // namespace vcaqoe::inference

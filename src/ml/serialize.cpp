@@ -1,10 +1,15 @@
 #include "ml/serialize.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/parse.hpp"
 
 namespace vcaqoe::ml {
 
@@ -26,7 +31,7 @@ std::string escape(const std::string& name) {
   return out;
 }
 
-std::string unescape(const std::string& token) {
+std::string unescape(std::string_view token) {
   std::string out;
   for (std::size_t i = 0; i < token.size(); ++i) {
     if (token[i] == '\\' && i + 1 < token.size()) {
@@ -43,29 +48,175 @@ std::string unescape(const std::string& token) {
   throw std::runtime_error("model load: " + what);
 }
 
-/// Count-vs-payload guard: a stream whose declared tree/node counts
+/// Whitespace as the "C" locale classifies it: what separates tokens.
+constexpr bool isSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+constexpr bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Tokenizer over a whole model file held in one buffer. Numbers go
+/// through `std::from_chars` straight into the caller's arrays, but the
+/// reader accepts exactly what `std::istream >>` accepts in the "C" locale
+/// and reads the same values, bit for bit (tests/serialize_reference.hpp
+/// holds it to that), so no model file that loaded under an istream
+/// parser loads differently:
+/// - a word ends at whitespace; a number ends where its grammar does, so
+///   the next token may follow with no space ("12abc" reads 12, then
+///   "abc");
+/// - a leading '+' is taken, "inf" and "nan" are not;
+/// - an 'e' not followed by exponent digits is taken and fails the number
+///   ("5end");
+/// - a double that rounds to zero below the smallest denormal reads as
+///   +/-0; one past the largest double fails;
+/// - an unsigned count read with a '-' wraps modulo 2^64, as num_get does.
+class TokenReader {
+ public:
+  explicit TokenReader(std::string_view text)
+      : pos_(text.data()), end_(text.data() + text.size()) {}
+
+  std::size_t bytesLeft() const {
+    return static_cast<std::size_t>(end_ - pos_);
+  }
+
+  bool word(std::string_view& out) {
+    skipSpace();
+    const char* first = pos_;
+    while (pos_ != end_ && !isSpace(*pos_)) ++pos_;
+    out = std::string_view(first, static_cast<std::size_t>(pos_ - first));
+    return !out.empty();
+  }
+
+  bool number(std::int32_t& out) {
+    skipSpace();
+    const char* first = pos_;
+    if (first != end_ && *first == '+') {
+      ++first;
+      if (first == end_ || !isDigit(*first)) return false;  // "+-1"
+    }
+    const auto [ptr, ec] = std::from_chars(first, end_, out);
+    if (ec != std::errc()) return false;
+    pos_ = ptr;
+    return true;
+  }
+
+  bool number(std::size_t& out) {
+    skipSpace();
+    const char* first = pos_;
+    const bool negative = first != end_ && *first == '-';
+    if (first != end_ && (*first == '+' || negative)) ++first;
+    std::size_t magnitude = 0;
+    const auto [ptr, ec] = std::from_chars(first, end_, magnitude);
+    if (ec != std::errc()) return false;
+    out = negative ? 0 - magnitude : magnitude;
+    pos_ = ptr;
+    return true;
+  }
+
+  bool number(double& out) {
+    skipSpace();
+    const char* first = pos_;
+    const char* body =
+        first != end_ && (*first == '+' || *first == '-') ? first + 1 : first;
+    if (body == end_ || !(isDigit(*body) || *body == '.')) return false;
+    if (*first == '+') first = body;
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, end_, value);
+    if (ec == std::errc::invalid_argument) return false;
+    const std::string_view token(first, static_cast<std::size_t>(ptr - first));
+    if (ptr != end_ && (*ptr == 'e' || *ptr == 'E') &&
+        token.find_first_of("eE") == std::string_view::npos) {
+      return false;
+    }
+    if (ec == std::errc::result_out_of_range) {
+      value = common::outOfRangeDouble(token);
+      if (std::isinf(value)) return false;
+    }
+    out = value;
+    pos_ = ptr;
+    return true;
+  }
+
+ private:
+  void skipSpace() {
+    while (pos_ != end_ && isSpace(*pos_)) ++pos_;
+  }
+
+  const char* pos_;
+  const char* end_;
+};
+
+/// Count-vs-payload guard: a file whose declared tree/node counts
 /// undershoot the payload would otherwise silently construct a truncated
 /// forest and leave the rest of the file on the floor.
-void rejectTrailingPayload(std::istream& in) {
-  std::string extra;
-  if (in >> extra) {
-    malformed("trailing payload past declared counts ('" + extra + "')");
+void rejectTrailingPayload(TokenReader& in) {
+  std::string_view extra;
+  if (in.word(extra)) {
+    malformed("trailing payload past declared counts ('" + std::string(extra) +
+              "')");
   }
 }
 
-/// Declared counts size vectors before any payload is read, so an absurd
-/// (or negative, wrapped through unsigned extraction) count must fail as a
-/// loud malformed-file error, not as a multi-GB allocation attempt. The
-/// bound is far above any real model while keeping the worst-case upfront
-/// allocation bounded: 2^24 nodes across the flat loader's four parallel
-/// arrays (20 bytes/node) or the node-tree loader's 40-byte AoS nodes is
-/// a few hundred MB, not an OOM from a 60-byte corrupt file.
-void checkDeclaredCount(std::size_t count, const char* what) {
+/// Declared counts size vectors before any payload is read, so a count is
+/// bounded before it allocates:
+/// - by an absolute cap (2^24), far above any real model;
+/// - by the bytes left in the file. Each of an element's `tokensEach`
+///   tokens takes at least two bytes (a separator, or the sign or point
+///   that starts it, and one character), so an 85-byte file declaring 2^24
+///   nodes fails here instead of zero-filling 320 MiB first.
+void checkDeclaredCount(std::size_t count, const char* what,
+                        std::size_t tokensEach, const TokenReader& in) {
   constexpr std::size_t kMaxDeclaredCount = std::size_t{1} << 24;
   if (count > kMaxDeclaredCount) {
     malformed(std::string("absurd declared ") + what + " count " +
               std::to_string(count));
   }
+  if (2 * tokensEach * count > in.bytesLeft()) {
+    malformed(std::string("declared ") + what + " count " +
+              std::to_string(count) + " exceeds the " +
+              std::to_string(in.bytesLeft()) + " bytes left");
+  }
+}
+
+/// The lines both formats open with: magic and version, then the task.
+TreeTask readHeader(TokenReader& in, std::string_view expectedMagic) {
+  std::string_view magic;
+  std::int32_t version = 0;
+  if (!in.word(magic) || !in.number(version)) malformed("missing header");
+  if (magic != expectedMagic) {
+    malformed("bad magic '" + std::string(magic) + "'");
+  }
+  if (version != kModelFormatVersion) {
+    malformed("unsupported version " + std::to_string(version));
+  }
+  std::string_view key;
+  std::string_view taskName;
+  if (!in.word(key) || !in.word(taskName) || key != "task") {
+    malformed("missing task");
+  }
+  if (taskName == "regression") return TreeTask::kRegression;
+  if (taskName == "classification") return TreeTask::kClassification;
+  malformed("unknown task '" + std::string(taskName) + "'");
+}
+
+/// The whole input in one buffer: a file in one read of its size, a stream
+/// copied out of its buffer. The parse runs on the buffer, which is freed
+/// when the load returns.
+std::optional<std::string> readFile(const std::string& path) {
+  std::ifstream in;
+  in.rdbuf()->pubsetbuf(nullptr, 0);  // the read lands straight in `text`
+  in.open(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::string text(std::filesystem::file_size(path), '\0');
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  return text;
+}
+
+std::string readStream(std::istream& in) {
+  std::ostringstream text;
+  text << in.rdbuf();
+  return std::move(text).str();
 }
 
 }  // namespace
@@ -108,63 +259,55 @@ void saveForestFile(const RandomForest& forest, const std::string& path) {
   saveForest(forest, out);
 }
 
-RandomForest loadForest(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version)) malformed("missing header");
-  if (magic != "vcaqoe-forest") malformed("bad magic '" + magic + "'");
-  if (version != kModelFormatVersion) {
-    malformed("unsupported version " + std::to_string(version));
-  }
+namespace {
 
-  std::string key;
-  std::string taskName;
-  if (!(in >> key >> taskName) || key != "task") malformed("missing task");
-  TreeTask task;
-  if (taskName == "regression") {
-    task = TreeTask::kRegression;
-  } else if (taskName == "classification") {
-    task = TreeTask::kClassification;
-  } else {
-    malformed("unknown task '" + taskName + "'");
-  }
+RandomForest parseForest(std::string_view text) {
+  TokenReader in(text);
+  const TreeTask task = readHeader(in, "vcaqoe-forest");
 
+  std::string_view key;
   std::size_t nameCount = 0;
-  if (!(in >> key >> nameCount) || key != "features") {
+  if (!in.word(key) || !in.number(nameCount) || key != "features") {
     malformed("missing features");
   }
-  checkDeclaredCount(nameCount, "feature");
+  checkDeclaredCount(nameCount, "feature", 1, in);
   std::vector<std::string> names(nameCount);
   for (auto& name : names) {
-    std::string token;
-    if (!(in >> token)) malformed("truncated feature names");
+    std::string_view token;
+    if (!in.word(token)) malformed("truncated feature names");
     name = unescape(token);
   }
 
   std::size_t importanceCount = 0;
-  if (!(in >> key >> importanceCount) || key != "importance") {
+  if (!in.word(key) || !in.number(importanceCount) || key != "importance") {
     malformed("missing importance");
   }
-  checkDeclaredCount(importanceCount, "importance");
+  checkDeclaredCount(importanceCount, "importance", 1, in);
   std::vector<double> importance(importanceCount);
   for (auto& v : importance) {
-    if (!(in >> v)) malformed("truncated importance");
+    if (!in.number(v)) malformed("truncated importance");
   }
 
   std::size_t treeCount = 0;
-  if (!(in >> key >> treeCount) || key != "trees") malformed("missing trees");
-  checkDeclaredCount(treeCount, "tree");
+  if (!in.word(key) || !in.number(treeCount) || key != "trees") {
+    malformed("missing trees");
+  }
+  // A tree is at least its `tree` keyword, its count and one node.
+  checkDeclaredCount(treeCount, "tree", 7, in);
   std::vector<DecisionTree> trees;
   trees.reserve(treeCount);
   for (std::size_t t = 0; t < treeCount; ++t) {
     std::size_t nodeCount = 0;
-    if (!(in >> key >> nodeCount) || key != "tree") malformed("missing tree");
-    checkDeclaredCount(nodeCount, "node");
+    if (!in.word(key) || !in.number(nodeCount) || key != "tree") {
+      malformed("missing tree");
+    }
+    checkDeclaredCount(nodeCount, "node", 5, in);
     if (nodeCount == 0) malformed("empty tree");
     std::vector<DecisionTree::Node> nodes(nodeCount);
     for (auto& node : nodes) {
-      if (!(in >> node.featureIndex >> node.threshold >> node.left >>
-            node.right >> node.value)) {
+      if (!in.number(node.featureIndex) || !in.number(node.threshold) ||
+          !in.number(node.left) || !in.number(node.right) ||
+          !in.number(node.value)) {
         malformed("truncated tree nodes");
       }
       const auto limit = static_cast<std::int32_t>(nodeCount);
@@ -194,18 +337,24 @@ RandomForest loadForest(std::istream& in) {
                                  std::move(importance));
 }
 
+}  // namespace
+
+RandomForest loadForest(std::istream& in) {
+  return parseForest(readStream(in));
+}
+
 RandomForest loadForestFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("loadForest: cannot open " + path);
-  return loadForest(in);
+  const auto text = readFile(path);
+  if (!text) throw std::runtime_error("loadForest: cannot open " + path);
+  return parseForest(*text);
 }
 
 std::optional<RandomForest> tryLoadForestFile(const std::string& path) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec) || ec) return std::nullopt;
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  return loadForest(in);
+  const auto text = readFile(path);
+  if (!text) return std::nullopt;
+  return parseForest(*text);
 }
 
 void saveFlattenedForest(const FlattenedForest& forest, std::ostream& out) {
@@ -247,79 +396,70 @@ void saveFlattenedForestFile(const FlattenedForest& forest,
   saveFlattenedForest(forest, out);
 }
 
-FlattenedForest loadFlattenedForest(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version)) malformed("missing header");
-  if (magic != "vcaqoe-forest-flat") malformed("bad magic '" + magic + "'");
-  if (version != kModelFormatVersion) {
-    malformed("unsupported version " + std::to_string(version));
-  }
+namespace {
 
-  std::string key;
-  std::string taskName;
-  if (!(in >> key >> taskName) || key != "task") malformed("missing task");
-  TreeTask task;
-  if (taskName == "regression") {
-    task = TreeTask::kRegression;
-  } else if (taskName == "classification") {
-    task = TreeTask::kClassification;
-  } else {
-    malformed("unknown task '" + taskName + "'");
-  }
+FlattenedForest parseFlattenedForest(std::string_view text) {
+  TokenReader in(text);
+  const TreeTask task = readHeader(in, "vcaqoe-forest-flat");
 
   // Optional `layout quantized` marker (written by saveFlattenedForest for
   // a forest whose quantized layout was applied); anything else here must
   // be the features line.
   bool quantizedLayout = false;
-  if (!(in >> key)) malformed("missing features");
+  std::string_view key;
+  if (!in.word(key)) malformed("missing features");
   if (key == "layout") {
-    std::string layoutName;
-    if (!(in >> layoutName)) malformed("truncated layout");
+    std::string_view layoutName;
+    if (!in.word(layoutName)) malformed("truncated layout");
     if (layoutName != "quantized") {
-      malformed("unknown layout '" + layoutName + "'");
+      malformed("unknown layout '" + std::string(layoutName) + "'");
     }
     quantizedLayout = true;
-    if (!(in >> key)) malformed("missing features");
+    if (!in.word(key)) malformed("missing features");
   }
   std::size_t featureCount = 0;
-  if (!(in >> featureCount) || key != "features") {
+  if (!in.number(featureCount) || key != "features") {
     malformed("missing features");
   }
-  checkDeclaredCount(featureCount, "feature");
+  checkDeclaredCount(featureCount, "feature", 0, in);
 
   std::size_t treeCount = 0;
-  if (!(in >> key >> treeCount) || key != "roots") malformed("missing roots");
-  checkDeclaredCount(treeCount, "root");
+  if (!in.word(key) || !in.number(treeCount) || key != "roots") {
+    malformed("missing roots");
+  }
+  checkDeclaredCount(treeCount, "root", 1, in);
   std::vector<std::int32_t> roots(treeCount);
   for (auto& root : roots) {
-    if (!(in >> root)) malformed("truncated roots");
+    if (!in.number(root)) malformed("truncated roots");
   }
 
   std::size_t nodeCount = 0;
-  if (!(in >> key >> nodeCount) || key != "nodes") malformed("missing nodes");
-  checkDeclaredCount(nodeCount, "node");
+  if (!in.word(key) || !in.number(nodeCount) || key != "nodes") {
+    malformed("missing nodes");
+  }
+  checkDeclaredCount(nodeCount, "node", 4, in);
   std::vector<std::int32_t> feature(nodeCount);
   std::vector<double> threshold(nodeCount);
   std::vector<std::int32_t> left(nodeCount);
   std::vector<std::int32_t> right(nodeCount);
   for (std::size_t i = 0; i < nodeCount; ++i) {
-    if (!(in >> feature[i] >> threshold[i] >> left[i] >> right[i])) {
+    if (!in.number(feature[i]) || !in.number(threshold[i]) ||
+        !in.number(left[i]) || !in.number(right[i])) {
       malformed("truncated nodes");
     }
   }
 
   std::size_t leafCount = 0;
-  if (!(in >> key >> leafCount) || key != "leaves") {
+  if (!in.word(key) || !in.number(leafCount) || key != "leaves") {
     malformed("missing leaves (declared node count disagrees with payload)");
   }
-  checkDeclaredCount(leafCount, "leaf");
+  checkDeclaredCount(leafCount, "leaf", 1, in);
   std::vector<double> leafValue(leafCount);
   for (auto& value : leafValue) {
-    if (!(in >> value)) malformed("truncated leaves");
+    if (!in.number(value)) malformed("truncated leaves");
   }
 
-  if (!(in >> key) || key != "end") {
+  if (!in.word(key) || key != "end") {
     malformed("missing end (declared leaf count disagrees with payload)");
   }
   rejectTrailingPayload(in);
@@ -339,21 +479,27 @@ FlattenedForest loadFlattenedForest(std::istream& in) {
   }
 }
 
+}  // namespace
+
+FlattenedForest loadFlattenedForest(std::istream& in) {
+  return parseFlattenedForest(readStream(in));
+}
+
 FlattenedForest loadFlattenedForestFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = readFile(path);
+  if (!text) {
     throw std::runtime_error("loadFlattenedForest: cannot open " + path);
   }
-  return loadFlattenedForest(in);
+  return parseFlattenedForest(*text);
 }
 
 std::optional<FlattenedForest> tryLoadFlattenedForestFile(
     const std::string& path) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec) || ec) return std::nullopt;
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  return loadFlattenedForest(in);
+  const auto text = readFile(path);
+  if (!text) return std::nullopt;
+  return parseFlattenedForest(*text);
 }
 
 }  // namespace vcaqoe::ml

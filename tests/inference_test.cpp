@@ -411,6 +411,28 @@ TEST_F(ModelRegistryDisk, LazyLoadsFromRegistryLayout) {
   EXPECT_EQ(stats.loads, 1u);
 }
 
+TEST_F(ModelRegistryDisk, CountsLoadWallTime) {
+  saveModel("teams", QoeTarget::kFrameRate, 21.0);
+  ModelRegistryOptions options;
+  options.modelDir = dir_;
+  ModelRegistry registry(options);
+  registry.resolve("teams", QoeTarget::kFrameRate);
+  const auto afterLoad = registry.stats().loadWallNs;
+  EXPECT_GT(afterLoad, 0u);
+  // A cache hit touches no file and adds nothing.
+  registry.resolve("teams", QoeTarget::kFrameRate);
+  EXPECT_EQ(registry.stats().loadWallNs, afterLoad);
+
+  // Registered backends never go to disk.
+  ModelRegistry registered;
+  registered.registerBackend("meet", QoeTarget::kFrameRate,
+                             constantForestBackend(30.0, QoeTarget::kFrameRate,
+                                                   "forest:meet/frame_rate"));
+  registered.resolve("meet", QoeTarget::kFrameRate);
+  registered.resolve("webex", QoeTarget::kFrameRate);
+  EXPECT_EQ(registered.stats().loadWallNs, 0u);
+}
+
 TEST_F(ModelRegistryDisk, LazyLoadsFlattenedLayoutFirst) {
   // A deployed `.fforest` is served directly (no node tree on disk at
   // all), and when both layouts exist the flat one wins the probe.
@@ -855,7 +877,8 @@ TEST_F(ModelRegistryDisk, CountersAcrossEvictionAndReadmissionDeltas) {
     const auto now = registry->stats();
     return RegistryStats{now.hits - before.hits, now.misses - before.misses,
                          now.loads - before.loads,
-                         now.loadFailures - before.loadFailures};
+                         now.loadFailures - before.loadFailures,
+                         now.loadWallNs - before.loadWallNs};
   };
 
   // Phase 1: meet admission — the first probe of the key lazy-loads from

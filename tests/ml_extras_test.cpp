@@ -3,6 +3,7 @@
 // that back the §4.3 model comparison.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "ml/baselines.hpp"
 #include "ml/flattened_forest.hpp"
 #include "ml/serialize.hpp"
+#include "tests/serialize_reference.hpp"
 
 namespace vcaqoe::ml {
 namespace {
@@ -489,6 +491,207 @@ TEST(Serialize, RejectsAbsurdDeclaredCounts) {
         FlattenedForest::fromParts(TreeTask::kRegression, 1, {0}, {0}, {0.5},
                                    {-2147483648}, {-1}, {1.0, 2.0}),
         std::invalid_argument);
+  }
+}
+
+TEST(Serialize, DeclaredCountPastBytesLeftFailsBeforeAllocating) {
+  // Each count is bounded by what is left of the file (two bytes per
+  // token at least) before its arrays are sized: these files declare 2^24
+  // nodes, which would zero-fill 320 MiB (flat) and 512 MiB (node tree)
+  // before failing as truncated.
+  const auto message = [](auto load, const std::string& text) {
+    std::stringstream in(text);
+    try {
+      load(in);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("loaded");
+  };
+  const std::string flat =
+      "vcaqoe-forest-flat 1\ntask regression\nfeatures 1\nroots 1 0\n"
+      "nodes 16777216\n0 0.5 -1 -2\n";
+  EXPECT_NE(message([](std::istream& in) { return loadFlattenedForest(in); },
+                    flat)
+                .find("bytes left"),
+            std::string::npos);
+  const std::string tree =
+      "vcaqoe-forest 1\ntask regression\nfeatures 1 x\nimportance 1 1\n"
+      "trees 1\ntree 16777216\n-1 0 0 0 3.25\n";
+  EXPECT_NE(message([](std::istream& in) { return loadForest(in); }, tree)
+                .find("bytes left"),
+            std::string::npos);
+  // The bound is the shortest encoding, not the usual one: a last node of
+  // five numbers glued by their signs fills exactly the 10 bytes it allows,
+  // and still loads under both parsers.
+  const std::string tight =
+      "vcaqoe-forest 1\ntask regression\nfeatures 1 x\nimportance 1 1\n"
+      "trees 1\ntree 1-1-0-0-0-3";
+  EXPECT_EQ(reference::treeDifference(tight), "");
+  std::stringstream in(tight);
+  EXPECT_EQ(loadForest(in).predict(std::vector<double>{0.0}), -3.0);
+}
+
+// ------------------------------------- one-pass parser vs istream reference
+
+/// Saver output of `forest` in every format: node tree, flat, quantized.
+std::vector<std::string> savedForms(const RandomForest& forest) {
+  std::vector<std::string> forms;
+  std::ostringstream tree;
+  saveForest(forest, tree);
+  forms.push_back(tree.str());
+  FlattenedForest flat(forest);
+  std::ostringstream flatText;
+  saveFlattenedForest(flat, flatText);
+  forms.push_back(flatText.str());
+  flat.applyLayout({.quantizeThresholds = true});
+  std::ostringstream quantized;
+  saveFlattenedForest(flat, quantized);
+  forms.push_back(quantized.str());
+  return forms;
+}
+
+TEST(SerializeDifferential, SaverOutputLoadsAsTheReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const bool classify = seed % 2 == 0;
+    const Dataset d = classify ? classDataset(300, seed)
+                               : linearDataset(300, seed, 0.5);
+    RandomForest forest;
+    ForestOptions options;
+    options.numTrees = 4 + static_cast<int>(seed);
+    forest.fit(d,
+               classify ? TreeTask::kClassification : TreeTask::kRegression,
+               options, seed);
+    for (const auto& text : savedForms(forest)) {
+      const bool flat = text.rfind("vcaqoe-forest-flat", 0) == 0;
+      EXPECT_EQ(flat ? reference::flatDifference(text)
+                     : reference::treeDifference(text),
+                "")
+          << "seed " << seed << "\n"
+          << text.substr(0, 120);
+    }
+  }
+}
+
+TEST(SerializeDifferential, RandomBitPatternsLoadAsTheReference) {
+  // Thresholds and leaf values drawn as raw bit patterns cover every
+  // exponent, denormals and -0: from_chars must round each printed value to
+  // the same double strtod did.
+  common::Rng rng(2024);
+  const auto randomDouble = [&rng](int i) {
+    std::uint64_t bits = 0;
+    do {
+      bits = static_cast<std::uint64_t>(
+          rng.uniformInt(std::numeric_limits<std::int64_t>::min(),
+                         std::numeric_limits<std::int64_t>::max()));
+      if (i % 4 == 0) bits &= 0x800FFFFFFFFFFFFFull;  // denormal or +/-0
+    } while (!std::isfinite(std::bit_cast<double>(bits)));
+    return std::bit_cast<double>(bits);
+  };
+  constexpr std::int32_t kNodes = 2000;
+  std::vector<std::int32_t> feature(kNodes, 0);
+  std::vector<double> threshold(kNodes);
+  std::vector<std::int32_t> left(kNodes);
+  std::vector<std::int32_t> right(kNodes);
+  std::vector<double> leaves(kNodes + 1);
+  for (std::int32_t i = 0; i < kNodes; ++i) {
+    threshold[static_cast<std::size_t>(i)] = randomDouble(i);
+    left[static_cast<std::size_t>(i)] = -(i + 1);
+    right[static_cast<std::size_t>(i)] = i + 1 < kNodes ? i + 1 : -(kNodes + 1);
+  }
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    leaves[i] = randomDouble(static_cast<int>(i) + 1);
+  }
+  const auto flat = FlattenedForest::fromParts(
+      TreeTask::kRegression, 1, {0}, std::move(feature), std::move(threshold),
+      std::move(left), std::move(right), std::move(leaves));
+  std::ostringstream text;
+  saveFlattenedForest(flat, text);
+  EXPECT_EQ(reference::flatDifference(text.str()), "");
+}
+
+TEST(SerializeDifferential, EdgeTokensMatchTheReference) {
+  // Tokens where from_chars and istream >> disagree on their own: each
+  // goes into every numeric slot of a small valid file of each format.
+  const std::vector<std::string> tokens = {
+      "+1", "-0", "inf", "nan", "-inf", "1e400", "-1e400", "1e-400",
+      "-1e-400", "4.9406564584124654e-324", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "2147483648", "-2147483649", "12abc",
+      "5end", "1e5e", "1e+", "1e", ".5", "5.", "+.5", "+-1", "--1", "0x1p3",
+      "-18446744073709551615", "18446744073709551616", "00", "-", "+", ".",
+      "1e5.3", "0", "1", "-1", "-2", "3"};
+  const std::string flat =
+      "vcaqoe-forest-flat 1\ntask regression\nfeatures @\nroots 1 @\n"
+      "nodes @\n@ @ @ @\nleaves @ @ @\nend\n";
+  const std::vector<std::string> flatSlots = {"1", "0", "1", "0", "0.5",
+                                              "-1", "-2", "2", "1.5", "2.5"};
+  const std::string tree =
+      "vcaqoe-forest 1\ntask regression\nfeatures @ x\nimportance @ @\n"
+      "trees @\ntree @\n@ @ @ @ @\n-1 0 0 0 3\n-1 0 0 0 7\n";
+  const std::vector<std::string> treeSlots = {
+      "1", "1", "1", "1", "3", "0", "0.5", "1", "2", "0"};
+  const auto fill = [](const std::string& form,
+                       const std::vector<std::string>& slots,
+                       std::size_t replaced, const std::string& token) {
+    std::string out;
+    std::size_t slot = 0;
+    for (const char c : form) {
+      if (c == '@') {
+        out += slot == replaced ? token : slots[slot];
+        ++slot;
+      } else {
+        out += c;
+      }
+    }
+    return out;
+  };
+  // The untouched templates load under both loaders.
+  ASSERT_TRUE(reference::loadOrReject(
+                  [](std::istream& in) { return loadFlattenedForest(in); },
+                  fill(flat, flatSlots, flatSlots.size(), ""))
+                  .has_value());
+  ASSERT_TRUE(reference::loadOrReject(
+                  [](std::istream& in) { return loadForest(in); },
+                  fill(tree, treeSlots, treeSlots.size(), ""))
+                  .has_value());
+  for (const auto& token : tokens) {
+    for (std::size_t slot = 0; slot < flatSlots.size(); ++slot) {
+      const auto text = fill(flat, flatSlots, slot, token);
+      EXPECT_EQ(reference::flatDifference(text), "") << text;
+    }
+    for (std::size_t slot = 0; slot < treeSlots.size(); ++slot) {
+      const auto text = fill(tree, treeSlots, slot, token);
+      EXPECT_EQ(reference::treeDifference(text), "") << text;
+    }
+  }
+
+  // Separators and line ends: CRLF, tabs, vertical tab and form feed, no
+  // final newline, tokens glued by a sign ("1-2"), and trailing blanks.
+  const std::string good = fill(flat, flatSlots, flatSlots.size(), "");
+  const auto replaceAll = [](std::string text, const std::string& from,
+                             const std::string& to) {
+    for (auto pos = text.find(from); pos != std::string::npos;
+         pos = text.find(from, pos + to.size())) {
+      text.replace(pos, from.size(), to);
+    }
+    return text;
+  };
+  for (const auto& text :
+       {replaceAll(good, "\n", "\r\n"), replaceAll(good, " ", "\t"),
+        replaceAll(good, "\n", "\v"), replaceAll(good, " ", "\f"),
+        good.substr(0, good.size() - 1), good + "  \n\n", "  \n" + good,
+        replaceAll(good, "0.5 -1 -2", "0.5-1-2"),
+        replaceAll(good, "\nend", "end"),
+        replaceAll(good, "end", std::string("end\0", 4)),
+        replaceAll(good, "\n", "\r")}) {
+    EXPECT_EQ(reference::flatDifference(text), "") << text;
+  }
+  const std::string goodTree = fill(tree, treeSlots, treeSlots.size(), "");
+  for (const auto& text :
+       {replaceAll(goodTree, "\n", "\r\n"), replaceAll(goodTree, " ", "\t"),
+        goodTree.substr(0, goodTree.size() - 1),
+        replaceAll(goodTree, "0 0.5 1 2 0", "0 0.5 1+2-0")}) {
+    EXPECT_EQ(reference::treeDifference(text), "") << text;
   }
 }
 
