@@ -2,7 +2,7 @@
 //
 // Replays the interleaved packet stream of K concurrent synthetic VCA flows
 // (K = 1 / 8 / 64 / 1024) through (a) a single-threaded reference — one
-// FlowTable demux plus one StreamingIpUdpEstimator per flow, all on the
+// FlowTable demux plus one StreamingEstimator per flow, all on the
 // caller thread — and (b) the sharded MultiFlowEngine. The with-model
 // engine rows price per-window inference into the hot path three ways:
 //   tree+m  — unbatched, node-tree forest layout (a local backend walking
@@ -16,18 +16,15 @@
 // reports raw rows/s for tree vs flat vs flat-batched predict, a kRtp
 // section replays RTP-headed flows through the native kRtp hot path
 // (payload-type classification, 24-wide features and model), and a
-// worker-count sweep (1/2/4/8, pinned vs unpinned shard workers) measures
-// the scale-out curve at a fixed flow count. Scenario rows carry a
-// feature_set field ("ipudp" / "rtp") in the persisted JSON.
+// worker-count sweep (1/2/4/8) measures the scale-out curve at a fixed flow
+// count. Scenario rows carry a feature_set field ("ipudp" / "rtp") in the
+// persisted JSON.
 //
 // A `skewed_flows` scenario replays a Zipf-sized flow population with one
-// deliberate elephant (flow 0 carries ~40% of all packets) through static
-// hash placement, least-loaded admission, and least-loaded + migration,
-// all digest-checked against the sequential reference. The migrating run's
-// per-shard load vector (dispatched/processed/backlog/resident/EWMA) and
-// completed-migration count are persisted alongside the throughput columns,
-// and the uniform 64-flow row gains an `eng_least_loaded_pkts_per_s` column
-// so the uniform-traffic cost of adaptive admission stays visible.
+// deliberate elephant (flow 0 carries ~40% of all packets) through the
+// engine, digest-checked against the sequential reference, and persists
+// the engine run's per-shard load vector (dispatched/processed/backlog)
+// alongside the throughput columns.
 //
 // With `--json-out DIR` (or VCAQOE_BENCH_JSON_DIR) the whole run — every
 // scenario's pkts/s, the model micro rows/s, the worker sweep, and p50/p99
@@ -196,10 +193,10 @@ struct RunResult {
 
 RunResult runSequential(const Scenario& scenario,
                         const core::StreamingOptions& streaming,
-                        core::StreamingIpUdpEstimator::BackendPtr backend) {
+                        core::StreamingEstimator::BackendPtr backend) {
   const auto start = std::chrono::steady_clock::now();
   engine::FlowTable table;
-  std::vector<std::unique_ptr<core::StreamingIpUdpEstimator>> estimators;
+  std::vector<std::unique_ptr<core::StreamingEstimator>> estimators;
   std::vector<std::vector<core::StreamingOutput>> outputs;
   // The estimator callbacks hold pointers into `outputs`; reserve so those
   // pointers survive growth.
@@ -209,7 +206,7 @@ RunResult runSequential(const Scenario& scenario,
     if (flow >= estimators.size()) {
       outputs.emplace_back();
       auto* sink = &outputs.back();
-      estimators.push_back(std::make_unique<core::StreamingIpUdpEstimator>(
+      estimators.push_back(std::make_unique<core::StreamingEstimator>(
           streaming,
           [sink](const core::StreamingOutput& out) { sink->push_back(out); },
           backend));
@@ -229,22 +226,16 @@ RunResult runSequential(const Scenario& scenario,
 RunResult runEngine(const Scenario& scenario,
                     const core::StreamingOptions& streaming, int workers,
                     std::shared_ptr<inference::ModelRegistry> registry,
-                    std::size_t inferenceBatch = 1, bool pinWorkers = false,
+                    std::size_t inferenceBatch = 1,
                     bench::WindowLatencyProbe* probe = nullptr,
-                    engine::Placement placement = engine::Placement::kHash,
-                    bool migrateFlows = false,
                     engine::EngineStats* statsOut = nullptr) {
   const auto start = std::chrono::steady_clock::now();
   engine::EngineOptions options;
   options.streaming = streaming;
   options.numWorkers = workers;
-  options.pinWorkers = pinWorkers;
   options.registry = std::move(registry);
   options.targets = {inference::QoeTarget::kFrameRate};
   options.inferenceBatch = inferenceBatch;
-  options.placement = placement;
-  options.migrateFlows = migrateFlows;
-  options.expectedFlows = scenario.keys.size();
   // Deadline scaled to the batch size so the size knob binds rather than
   // the dispatch-boundary flush capping the effective batch.
   options.inferenceFlushNs = engine::scaledInferenceFlushNs(inferenceBatch);
@@ -284,10 +275,6 @@ common::JsonValue loadJson(const engine::EngineStats& stats) {
     entry.set("dispatched", static_cast<std::int64_t>(shard.packetsDispatched));
     entry.set("processed", static_cast<std::int64_t>(shard.packetsProcessed));
     entry.set("backlog", static_cast<std::int64_t>(shard.backlog));
-    entry.set("resident_flows", static_cast<std::int64_t>(shard.residentFlows));
-    entry.set("ewma_batch_ns", shard.ewmaBatchNs);
-    entry.set("migrations_in", static_cast<std::int64_t>(shard.migrationsIn));
-    entry.set("migrations_out", static_cast<std::int64_t>(shard.migrationsOut));
     loads.push(std::move(entry));
   }
   return loads;
@@ -331,7 +318,6 @@ int main(int argc, char** argv) {
   cfg.set("batch", static_cast<std::int64_t>(batch));
   cfg.set("sweep_flows", sweepFlows);
   cfg.set("window_s", static_cast<double>(streaming.windowNs) / 1e9);
-  cfg.set("pin_supported", engine::kWorkerPinningSupported);
   // The dispatch arm every hot-loop kernel ran on for this document
   // (scalar when VCAQOE_FORCE_SCALAR pinned it) — required by the schema so
   // trajectory points are comparable.
@@ -536,8 +522,7 @@ int main(int argc, char** argv) {
     const auto seq = runSequential(scenario, streaming, nullptr);
     bench::WindowLatencyProbe probe(streaming.windowNs);
     const auto eng = runEngine(scenario, streaming, workers, nullptr,
-                               /*inferenceBatch=*/1, /*pinWorkers=*/false,
-                               &probe);
+                               /*inferenceBatch=*/1, &probe);
     // With the per-VCA forest (fresh registry per run: resolution counters
     // and shard state start cold, like a monitor restart): node-tree
     // unbatched baseline, flat unbatched, flat batched.
@@ -548,21 +533,10 @@ int main(int argc, char** argv) {
                                    makeFlatRegistry());
     const auto engBatch = runEngine(scenario, streaming, workers,
                                     makeFlatRegistry(), batch);
-    // Uniform-traffic cost of adaptive admission: on an even load the
-    // least-loaded policy must stay within noise of the hash default. Only
-    // the sweep-size row carries the column (it is the one the trajectory
-    // tracks).
-    RunResult engLeast;
-    if (flows == 64) {
-      engLeast = runEngine(scenario, streaming, workers, nullptr,
-                           /*inferenceBatch=*/1, /*pinWorkers=*/false,
-                           /*probe=*/nullptr, engine::Placement::kLeastLoaded);
-    }
     const bool identical =
         seq.digest == eng.digest && seqModel.digest == engTree.digest &&
         seqModel.digest == engFlat.digest &&
         seqModel.digest == engBatch.digest &&
-        (flows != 64 || seq.digest == engLeast.digest) &&
         seqModel.digest.outputs == seq.digest.outputs &&
         seqModel.digest.hash != seq.digest.hash;  // model actually predicted
     allIdentical = allIdentical && identical;
@@ -580,54 +554,35 @@ int main(int argc, char** argv) {
     row.set("feature_set",
             std::string(features::toString(features::FeatureSet::kIpUdp)));
     row.set("packets", static_cast<std::int64_t>(scenario.stream.size()));
-    auto throughput =
-        throughputJson({{"seq_pkts_per_s", seq.pps},
-                        {"eng_pkts_per_s", eng.pps},
-                        {"eng_tree_model_pkts_per_s", engTree.pps},
-                        {"eng_flat_model_pkts_per_s", engFlat.pps},
-                        {"eng_batch_model_pkts_per_s", engBatch.pps}});
-    if (flows == 64) {
-      throughput.set("eng_least_loaded_pkts_per_s", engLeast.pps);
-    }
-    row.set("throughput", std::move(throughput));
+    row.set("throughput",
+            throughputJson({{"seq_pkts_per_s", seq.pps},
+                            {"eng_pkts_per_s", eng.pps},
+                            {"eng_tree_model_pkts_per_s", engTree.pps},
+                            {"eng_flat_model_pkts_per_s", engFlat.pps},
+                            {"eng_batch_model_pkts_per_s", engBatch.pps}}));
     row.set("latency_ms", probe.toJson());
     row.set("identical", identical);
   }
 
-  // ---- skewed_flows: the elephant scenario. Static hash placement pins
-  // ~40% of the stream to one shard; least-loaded admission balances the
-  // mice around it; migration moves the elephant itself once the imbalance
-  // trigger fires. All three arms are digest-checked against the sequential
-  // reference — adaptivity must not cost a single output bit.
+  // ---- skewed_flows: the elephant scenario. The shard that draws flow 0
+  // carries ~40% of the stream; the load vector shows how far the others
+  // trail it. Digest-checked against the sequential reference.
   {
     const int skewFlows = 32;
     const auto scenario = makeSkewedScenario(skewFlows, totalPackets);
     const auto seq = runSequential(scenario, streaming, nullptr);
-    const auto engHash = runEngine(scenario, streaming, workers, nullptr);
-    const auto engLeast = runEngine(
-        scenario, streaming, workers, nullptr, /*inferenceBatch=*/1,
-        /*pinWorkers=*/false, /*probe=*/nullptr,
-        engine::Placement::kLeastLoaded);
-    engine::EngineStats migrateStats;
-    const auto engMigrate = runEngine(
-        scenario, streaming, workers, nullptr, /*inferenceBatch=*/1,
-        /*pinWorkers=*/false, /*probe=*/nullptr,
-        engine::Placement::kLeastLoaded, /*migrateFlows=*/true,
-        &migrateStats);
-    const bool identical = seq.digest == engHash.digest &&
-                           seq.digest == engLeast.digest &&
-                           seq.digest == engMigrate.digest;
+    engine::EngineStats hashStats;
+    const auto engHash =
+        runEngine(scenario, streaming, workers, nullptr,
+                  /*inferenceBatch=*/1, /*probe=*/nullptr, &hashStats);
+    const bool identical = seq.digest == engHash.digest;
     allIdentical = allIdentical && identical;
     std::printf(
         "\nskewed flows — %d flows, flow 0 carries ~40%% of %zu packets\n",
         skewFlows, scenario.stream.size());
-    std::printf(
-        "  seq %.0f pkts/s | hash %.0f | least-loaded %.0f (%.2fx vs hash) | "
-        "migrate %.0f (%.2fx vs hash, %llu migrations) | identical: %s\n",
-        seq.pps, engHash.pps, engLeast.pps, engLeast.pps / engHash.pps,
-        engMigrate.pps, engMigrate.pps / engHash.pps,
-        static_cast<unsigned long long>(migrateStats.migrations),
-        identical ? "yes" : "NO");
+    std::printf("  seq %.0f pkts/s | hash %.0f (%.2fx) | identical: %s\n",
+                seq.pps, engHash.pps, engHash.pps / seq.pps,
+                identical ? "yes" : "NO");
 
     auto& row = report.addScenario("skewed_flows");
     row.set("flows", skewFlows);
@@ -635,16 +590,9 @@ int main(int argc, char** argv) {
             std::string(features::toString(features::FeatureSet::kIpUdp)));
     row.set("packets", static_cast<std::int64_t>(scenario.stream.size()));
     row.set("throughput",
-            throughputJson(
-                {{"seq_pkts_per_s", seq.pps},
-                 {"eng_hash_pkts_per_s", engHash.pps},
-                 {"eng_least_loaded_pkts_per_s", engLeast.pps},
-                 {"eng_migrate_pkts_per_s", engMigrate.pps}}));
-    // Load vector of the migrating run: this is the arm whose balance the
-    // scenario exists to measure.
-    row.set("load", loadJson(migrateStats));
-    row.set("migrations",
-            static_cast<std::int64_t>(migrateStats.migrations));
+            throughputJson({{"seq_pkts_per_s", seq.pps},
+                            {"eng_hash_pkts_per_s", engHash.pps}}));
+    row.set("load", loadJson(hashStats));
     row.set("identical", identical);
   }
 
@@ -679,8 +627,7 @@ int main(int argc, char** argv) {
     const auto seq = runSequential(scenario, streamingRtp, nullptr);
     bench::WindowLatencyProbe probe(streamingRtp.windowNs);
     const auto eng = runEngine(scenario, streamingRtp, workers, nullptr,
-                               /*inferenceBatch=*/1, /*pinWorkers=*/false,
-                               &probe);
+                               /*inferenceBatch=*/1, &probe);
     const auto seqModel = runSequential(scenario, streamingRtp,
                                         rtpModelBackend);
     const auto engFlat = runEngine(scenario, streamingRtp, workers,
@@ -713,38 +660,33 @@ int main(int argc, char** argv) {
   }
 
   // ---- worker-count sweep: the scale-out curve. Fixed flow count, workers
-  // 1/2/4/8, pinned vs unpinned shard threads, no model (the scaling
-  // property under measurement is the shard fan-out itself). Every run is
-  // digest-checked against the sequential reference like the main table.
-  std::printf("\nworker sweep — %d flows, pinning %s\n", sweepFlows,
-              engine::kWorkerPinningSupported ? "supported"
-                                              : "unsupported (no-op)");
-  std::printf("%8s %7s | %11s %7s | %9s %9s | %9s\n", "workers", "pinned",
-              "eng pkts/s", "spd", "p50 ms", "p99 ms", "identical");
+  // 1/2/4/8, no model (the scaling property under measurement is the shard
+  // fan-out itself). Every run is digest-checked against the sequential
+  // reference like the main table.
+  std::printf("\nworker sweep — %d flows\n", sweepFlows);
+  std::printf("%8s | %11s %7s | %9s %9s | %9s\n", "workers", "eng pkts/s",
+              "spd", "p50 ms", "p99 ms", "identical");
   auto& sweep =
       report.addSection("worker_sweep", common::JsonValue::array());
   {
     const auto scenario = makeScenario(sweepFlows, totalPackets);
     const auto seq = runSequential(scenario, streaming, nullptr);
-    for (const bool pinned : {false, true}) {
-      for (const int w : {1, 2, 4, 8}) {
-        bench::WindowLatencyProbe probe(streaming.windowNs);
-        const auto run = runEngine(scenario, streaming, w, nullptr,
-                                   /*inferenceBatch=*/1, pinned, &probe);
-        const bool identical = run.digest == seq.digest;
-        allIdentical = allIdentical && identical;
-        std::printf("%8d %7s | %11.0f %6.2fx | %9.2f %9.2f | %9s\n", w,
-                    pinned ? "yes" : "no", run.pps, run.pps / seq.pps,
-                    probe.p50Ms(), probe.p99Ms(), identical ? "yes" : "NO");
-        auto entry = common::JsonValue::object();
-        entry.set("workers", w);
-        entry.set("pinned", pinned);
-        entry.set("flows", sweepFlows);
-        entry.set("throughput", throughputJson({{"pkts_per_s", run.pps}}));
-        entry.set("latency_ms", probe.toJson());
-        entry.set("identical", identical);
-        sweep.push(std::move(entry));
-      }
+    for (const int w : {1, 2, 4, 8}) {
+      bench::WindowLatencyProbe probe(streaming.windowNs);
+      const auto run = runEngine(scenario, streaming, w, nullptr,
+                                 /*inferenceBatch=*/1, &probe);
+      const bool identical = run.digest == seq.digest;
+      allIdentical = allIdentical && identical;
+      std::printf("%8d | %11.0f %6.2fx | %9.2f %9.2f | %9s\n", w, run.pps,
+                  run.pps / seq.pps, probe.p50Ms(), probe.p99Ms(),
+                  identical ? "yes" : "NO");
+      auto entry = common::JsonValue::object();
+      entry.set("workers", w);
+      entry.set("flows", sweepFlows);
+      entry.set("throughput", throughputJson({{"pkts_per_s", run.pps}}));
+      entry.set("latency_ms", probe.toJson());
+      entry.set("identical", identical);
+      sweep.push(std::move(entry));
     }
   }
 

@@ -7,17 +7,17 @@
 // bench name, host metadata, config object, and a non-empty scenarios array
 // whose rows each carry a name and a non-empty numeric throughput object.
 // For bench == "engine_throughput" it additionally requires the
-// worker_sweep section to cover workers {1,2,4,8} for both pinned=false and
-// pinned=true, each entry with pkts_per_s and p50/p99 latency — the shape
-// the checked-in scaling curve and CI artifact promise — and that every
-// flow-table row declares its feature_set ("ipudp" or "rtp") with both
-// families present in the document (the kRtp hot path is benchmarked, not
-// just the seed kIpUdp one), that config.simd names the dispatch arm the
-// kernels ran on (scalar/sse2/avx2/neon), that a kernel_micro scenario
-// carries both columns of the three SIMD kernel comparisons, and that a
-// skewed_flows scenario persists the placement-policy comparison (hash vs
-// least-loaded vs migrating columns), a non-empty per-shard "load" array
-// with the full load vector per shard, and a numeric "migrations" count.
+// worker_sweep section to cover workers {1,2,4,8}, each entry with
+// pkts_per_s and p50/p99 latency — the shape the checked-in scaling curve
+// and CI artifact promise — and that every flow-table row declares its
+// feature_set ("ipudp" or "rtp") with both families present in the
+// document (the kRtp hot path is benchmarked, not just the seed kIpUdp
+// one), that config.simd names the dispatch arm the kernels ran on
+// (scalar/sse2/avx2/neon), that a kernel_micro scenario carries both
+// columns of the three SIMD kernel comparisons, and that a skewed_flows
+// scenario persists its sequential and engine columns digest-verified and
+// a non-empty per-shard "load" array with dispatched, processed and
+// backlog per shard.
 //
 // Exit code 0 only when every file validates; failures are printed with the
 // file and the violated rule. CI runs this on the bench-smoke artifacts so
@@ -139,10 +139,9 @@ struct Checker {
     }
   }
 
-  /// Engine-bench load-adaptivity contract: the document carries the
-  /// skewed_flows (elephant) scenario with all three placement-policy
-  /// columns digest-verified, the migrating run's per-shard load vector,
-  /// and its completed-migration count.
+  /// Engine-bench skew contract: the document carries the skewed_flows
+  /// (elephant) scenario with its sequential and engine columns
+  /// digest-verified and the engine run's per-shard load vector.
   void checkSkewedFlows(const JsonValue& doc) {
     const auto* scenarios = doc.find("scenarios");
     if (!scenarios || !scenarios->isArray()) return;  // reported already
@@ -158,16 +157,13 @@ struct Checker {
       }
     }
     if (!skewed) {
-      fail("scenarios: no \"skewed_flows\" row (placement-policy comparison "
-           "missing)");
+      fail("scenarios: no \"skewed_flows\" row (elephant scenario missing)");
       return;
     }
     const std::string where = "scenarios[" + std::to_string(at) + "]";
     if (const auto* throughput = skewed->find("throughput");
         throughput && throughput->isObject()) {
-      for (const char* key :
-           {"seq_pkts_per_s", "eng_hash_pkts_per_s",
-            "eng_least_loaded_pkts_per_s", "eng_migrate_pkts_per_s"}) {
+      for (const char* key : {"seq_pkts_per_s", "eng_hash_pkts_per_s"}) {
         requireMember(*throughput, key, &JsonValue::isNumber, "a number",
                       where + ".throughput");
       }
@@ -178,8 +174,6 @@ struct Checker {
         fail(where + ": identical=false (digest mismatch persisted)");
       }
     }
-    requireMember(*skewed, "migrations", &JsonValue::isNumber, "a number",
-                  where);
     const auto* load = requireMember(*skewed, "load", &JsonValue::isArray,
                                      "an array", where);
     if (!load) return;
@@ -195,9 +189,7 @@ struct Checker {
         fail(shardWhere + ": not an object");
         continue;
       }
-      for (const char* key :
-           {"dispatched", "processed", "backlog", "resident_flows",
-            "ewma_batch_ns", "migrations_in", "migrations_out"}) {
+      for (const char* key : {"dispatched", "processed", "backlog"}) {
         requireMember(shard, key, &JsonValue::isNumber, "a number",
                       shardWhere);
       }
@@ -281,13 +273,13 @@ struct Checker {
     }
   }
 
-  /// The engine bench's scaling-curve contract: workers {1,2,4,8} for both
-  /// pinned values, each with a pkts_per_s rate and a latency block.
+  /// The engine bench's scaling-curve contract: workers {1,2,4,8}, each
+  /// with a pkts_per_s rate and a latency block.
   void checkWorkerSweep(const JsonValue& doc) {
     const auto* sweep = requireMember(doc, "worker_sweep", &JsonValue::isArray,
                                       "an array", "top level");
     if (!sweep) return;
-    std::set<std::pair<std::int64_t, bool>> seen;
+    std::set<std::int64_t> seen;
     for (std::size_t i = 0; i < sweep->size(); ++i) {
       const auto& entry = sweep->at(i);
       const std::string where = "worker_sweep[" + std::to_string(i) + "]";
@@ -298,8 +290,6 @@ struct Checker {
       const auto* workers = requireMember(entry, "workers",
                                           &JsonValue::isNumber, "a number",
                                           where);
-      const auto* pinned = requireMember(entry, "pinned", &JsonValue::isBool,
-                                         "a bool", where);
       if (const auto* identical =
               requireMember(entry, "identical", &JsonValue::isBool, "a bool",
                             where)) {
@@ -314,16 +304,11 @@ struct Checker {
                       "a number", where + ".throughput");
       }
       checkLatency(entry, where);
-      if (workers && pinned) {
-        seen.emplace(workers->asInt(), pinned->asBool());
-      }
+      if (workers) seen.insert(workers->asInt());
     }
-    for (const bool pin : {false, true}) {
-      for (const std::int64_t w : {1, 2, 4, 8}) {
-        if (!seen.count({w, pin})) {
-          fail("worker_sweep: missing workers=" + std::to_string(w) +
-               " pinned=" + (pin ? "true" : "false"));
-        }
+    for (const std::int64_t w : {1, 2, 4, 8}) {
+      if (!seen.count(w)) {
+        fail("worker_sweep: missing workers=" + std::to_string(w));
       }
     }
   }

@@ -42,15 +42,6 @@
 //     --target LIST        comma-separated prediction targets to resolve
 //                          (frame_rate,bitrate_kbps,frame_jitter_ms,
 //                          resolution; default: all)
-//     --placement P        shard placement policy for newly admitted flows:
-//                          hash (flow id modulo workers, default) or
-//                          least-loaded (pick the shard with the smallest
-//                          backlog + resident-flow score at admission).
-//                          Anything else exits 2 with usage.
-//     --migrate            enable dispatch-boundary flow migration: when one
-//                          shard's backlog runs away from its siblings, the
-//                          heaviest flow is moved to the lightest shard at a
-//                          safe point. Output stays bit-identical.
 //
 // Without a capture argument the tool synthesizes a multi-flow capture to a
 // temp file first, so the example is runnable out of the box. An unreadable
@@ -93,8 +84,6 @@ struct Args {
   std::string modelDir;
   bool synthModel = false;
   bool quantized = false;
-  engine::Placement placement = engine::Placement::kHash;
-  bool migrate = false;
   std::vector<inference::QoeTarget> targets;
 };
 
@@ -105,8 +94,7 @@ void usage(const char* flag, const char* expected, const char* got) {
                "[--idle-timeout-s S] [--pace X] [--pump-s S] "
                "[--synth-flows K] [--feature-set rtp|ipudp] "
                "[--model-dir DIR] [--synth-model] [--quantized] "
-               "[--target LIST] [--placement hash|least-loaded] "
-               "[--migrate]\n",
+               "[--target LIST]\n",
                flag, expected, got);
 }
 
@@ -178,21 +166,6 @@ bool parseArgs(int argc, char** argv, Args& args) {
         return false;
       }
       args.featureSet = *set;
-    } else if (arg == "--placement") {
-      // Same strict-enum contract as --feature-set: unknown policy names
-      // are a usage error (exit 2), never a silent hash default.
-      if (!text(s)) {
-        usage(arg.c_str(), "hash or least-loaded", "(nothing)");
-        return false;
-      }
-      const auto placement = engine::placementFromString(s);
-      if (!placement.has_value()) {
-        usage(arg.c_str(), "hash or least-loaded", s.c_str());
-        return false;
-      }
-      args.placement = *placement;
-    } else if (arg == "--migrate") {
-      args.migrate = true;
     } else if (arg == "--model-dir" && text(s)) {
       args.modelDir = s;
     } else if (arg == "--synth-model") {
@@ -299,8 +272,6 @@ int main(int argc, char** argv) {
   options.inferenceFlushNs =
       engine::scaledInferenceFlushNs(options.inferenceBatch);
   options.idleTimeoutNs = common::secondsToNs(args.idleTimeoutS);
-  options.placement = args.placement;
-  options.migrateFlows = args.migrate;
   if (args.synthModel && !args.modelDir.empty()) {
     std::fprintf(stderr, "--synth-model and --model-dir are exclusive\n");
     return 2;
@@ -362,15 +333,12 @@ int main(int argc, char** argv) {
       pumpIntervalNs > 0 ? common::TextTable::num(pumpS, 1) + " s" : "off";
   std::printf(
       "replaying %s (%d workers, feature set %s, batch %s, idle timeout "
-      "%.0f s, pace %s, pump %s, placement %s%s%s%s)\n\n",
+      "%.0f s, pace %s, pump %s%s%s)\n\n",
       args.capturePath.c_str(), eng.numWorkers(),
       std::string(features::toString(args.featureSet)).c_str(),
       batchLabel.c_str(), args.idleTimeoutS,
       args.pace > 0 ? std::to_string(args.pace).c_str() : "off",
-      pumpLabel.c_str(),
-      std::string(engine::toString(args.placement)).c_str(),
-      args.migrate ? " + migration" : "",
-      withModels ? ", models from " : "",
+      pumpLabel.c_str(), withModels ? ", models from " : "",
       withModels ? (args.synthModel ? "synthetic" : args.modelDir.c_str())
                  : "");
 
@@ -470,18 +438,12 @@ int main(int argc, char** argv) {
                   ? 100.0 * static_cast<double>(stats.demuxCacheHits) /
                         static_cast<double>(stats.demuxCacheLookups)
                   : 0.0);
-  std::printf("flow migrations    %llu\n",
-              static_cast<unsigned long long>(stats.migrations));
+  std::printf("batch pool waits   %llu\n",
+              static_cast<unsigned long long>(stats.poolWaits));
   for (std::size_t s = 0; s < stats.shardLoads.size(); ++s) {
-    const auto& load = stats.shardLoads[s];
-    std::printf(
-        "shard %-2zu           %llu pkts, %zu flows resident, migrations "
-        "+%llu/-%llu, ewma batch %.1f us\n",
-        s, static_cast<unsigned long long>(load.packetsProcessed),
-        load.residentFlows,
-        static_cast<unsigned long long>(load.migrationsIn),
-        static_cast<unsigned long long>(load.migrationsOut),
-        load.ewmaBatchNs / 1e3);
+    std::printf("shard %-2zu           %llu pkts\n", s,
+                static_cast<unsigned long long>(
+                    stats.shardLoads[s].packetsProcessed));
   }
   if (parse.skippedNonUdp + parse.skippedBadUdpLength +
           parse.skippedFragments + parse.truncatedRecords +

@@ -164,6 +164,12 @@ void genForest(const fs::path& dir) {
             "vcaqoe-forest 1\ntask regression\nfeatures 1 x\n"
             "importance 1 1\ntrees 1\ntree 16777216\n-1 0 0 0 3.25\n");
 
+  // Regression: zero trees loaded as an unfitted forest whose predict threw
+  // std::logic_error, aborting the harness. loadForest must reject it.
+  writeFile(dir / "trees-zero.forest",
+            "vcaqoe-forest 1\ntask regression\nfeatures 0\nimportance 0\n"
+            "trees 0\n");
+
   // Tokens where from_chars and istream >> disagree, which the loaders must
   // read as istream did. These load: CRLF line ends, tabs, '+' signs, an
   // underflowing threshold (reads as 0), -0 and a denormal leaf, numbers

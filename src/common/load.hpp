@@ -1,10 +1,8 @@
 #pragma once
 
-#include <stdexcept>
 #include <thread>
 
-/// Load measurement / concurrency helpers shared by the engine's shard
-/// load accounting and every module that sizes a thread pool.
+/// Concurrency helper shared by every module that sizes a thread pool.
 namespace vcaqoe::common {
 
 /// `std::thread::hardware_concurrency()` with the standard-permitted 0
@@ -15,39 +13,5 @@ inline unsigned hardwareThreadsOr(unsigned fallback) {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : fallback;
 }
-
-/// Exponentially weighted moving average over an irregular sample stream —
-/// the shard-load smoother (per-dispatch-batch processing time). First
-/// sample seeds the average; after that `value = alpha*sample +
-/// (1-alpha)*value`. Plain (non-atomic) by design: the owner updates it on
-/// its own thread and publishes the double's bits through an atomic when
-/// another thread needs to read it.
-class LoadEwma {
- public:
-  /// Throws std::invalid_argument unless 0 < alpha <= 1.
-  explicit LoadEwma(double alpha = 0.2) : alpha_(alpha) {
-    if (!(alpha > 0.0) || alpha > 1.0) {
-      throw std::invalid_argument("LoadEwma: alpha must be in (0, 1]");
-    }
-  }
-
-  void update(double sample) {
-    if (!seeded_) {
-      value_ = sample;
-      seeded_ = true;
-      return;
-    }
-    value_ = alpha_ * sample + (1.0 - alpha_) * value_;
-  }
-
-  /// 0.0 until the first sample.
-  double value() const { return value_; }
-  bool seeded() const { return seeded_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool seeded_ = false;
-};
 
 }  // namespace vcaqoe::common

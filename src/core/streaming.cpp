@@ -34,13 +34,6 @@ void StreamingEstimator::attachBackend(BackendPtr backend) {
   backend_ = std::move(backend);
 }
 
-void StreamingEstimator::rebindCallback(Callback callback) {
-  if (!callback) {
-    throw std::invalid_argument("StreamingEstimator: null callback");
-  }
-  callback_ = std::move(callback);
-}
-
 bool StreamingEstimator::isVideoPacket(const netflow::Packet& packet) const {
   if (!rtpMode_) return classifier_.isVideo(packet);
   // The offline session path's rule: a packet is video iff its head parses

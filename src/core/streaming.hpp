@@ -35,8 +35,7 @@
 /// Feature-set dispatch (`StreamingOptions::featureSet`):
 ///  * kIpUdp (default): video is classified by the size threshold
 ///    (`MediaClassifier::isVideo`) and only video arrival/size columns are
-///    buffered — byte-for-byte the historical `StreamingIpUdpEstimator`
-///    behavior.
+///    buffered.
 ///  * kRtp: video is classified by RTP payload type
 ///    (`ExtractionParams::videoPt`, matching the offline session path), a
 ///    second head-capturing `WindowColumns` record buffers *every* packet of
@@ -113,14 +112,6 @@ class StreamingEstimator {
   /// the first emission throws std::logic_error; resolve the backend at
   /// flow admission (the engine does) instead of swapping it mid-flight.
   void attachBackend(BackendPtr backend);
-
-  /// Rebinds the emission callback. Unlike `attachBackend`, this is legal at
-  /// any point in the stream: the callback is a delivery channel, not an
-  /// input to the computation, so swapping it cannot change what any window
-  /// contains — only where it lands. The engine uses this when a flow
-  /// migrates between shards (the old callback referenced the old shard's
-  /// ring/batcher). Throws std::invalid_argument on a null callback.
-  void rebindCallback(Callback callback);
 
   /// The attached backend; null when none.
   const inference::InferenceBackend* backend() const { return backend_.get(); }
@@ -200,10 +191,5 @@ class StreamingEstimator {
 
   std::int64_t nextWindowToEmit_ = 0;
 };
-
-/// Historical name from when the streaming path could only compute the
-/// IP/UDP feature set; `StreamingOptions::featureSet` now selects the
-/// family and the default (kIpUdp) keeps old call sites bit-identical.
-using StreamingIpUdpEstimator = StreamingEstimator;
 
 }  // namespace vcaqoe::core

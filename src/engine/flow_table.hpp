@@ -36,14 +36,6 @@ class FlowTable {
   /// buy more than the extra bucket memory costs at engine scale.
   FlowTable() { ids_.max_load_factor(0.5F); }
 
-  /// Pre-sizes both the hash map (buckets for `expectedFlows` at the
-  /// tuned load factor) and the id→key sidecar, so a monitor that knows
-  /// its concurrency target never rehashes on the packet path.
-  void reserve(std::size_t expectedFlows) {
-    ids_.reserve(expectedFlows);
-    keys_.reserve(expectedFlows);
-  }
-
   /// Returns the id of `key`, assigning the next dense id on first sight
   /// (or on first sight after an erase — evicted generations stay retired).
   FlowId intern(const netflow::FlowKey& key);

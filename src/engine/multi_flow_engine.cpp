@@ -1,48 +1,11 @@
 #include "engine/multi_flow_engine.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
 #include <stdexcept>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include "common/load.hpp"
 
 namespace vcaqoe::engine {
-
-namespace {
-
-/// Best-effort round-robin core pinning for shard worker `index`. Failure
-/// (e.g. a cpuset restricting the process below hardware_concurrency) is
-/// ignored: pinning is a throughput hint, never a correctness dependency.
-void pinThreadRoundRobin([[maybe_unused]] std::thread& thread,
-                         [[maybe_unused]] std::size_t index) {
-#if defined(__linux__)
-  // Deliberately not hardwareThreadsOr: when the CPU count is unknowable,
-  // pinning every worker to CPU 0 would be worse than not pinning at all.
-  const unsigned cpus = std::thread::hardware_concurrency();
-  if (cpus == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(index % cpus), &set);
-  (void)pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set);
-#endif
-}
-
-/// How many dispatch batches between migration scans: the imbalance scan
-/// walks the live-flow list, so it must not run per packet. Low enough to
-/// react within a few batches, high enough to amortize the walk.
-constexpr std::uint64_t kMigrateScanEveryBatches = 4;
-
-}  // namespace
-
-std::optional<Placement> placementFromString(std::string_view text) {
-  if (text == "hash") return Placement::kHash;
-  if (text == "least-loaded") return Placement::kLeastLoaded;
-  return std::nullopt;
-}
 
 MultiFlowEngine::MultiFlowEngine(EngineOptions options)
     : options_(std::move(options)),
@@ -58,7 +21,6 @@ MultiFlowEngine::MultiFlowEngine(EngineOptions options)
     workers = static_cast<int>(common::hardwareThreadsOr(1));
   }
   if (options_.dispatchBatch == 0) options_.dispatchBatch = 1;
-  if (options_.expectedFlows > 0) flowTable_.reserve(options_.expectedFlows);
 
   shards_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
@@ -86,11 +48,6 @@ MultiFlowEngine::MultiFlowEngine(EngineOptions options)
   for (auto& shard : shards_) {
     shard->thread = std::thread([this, raw = shard.get()] { workerLoop(*raw); });
   }
-  if (options_.pinWorkers) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      pinThreadRoundRobin(shards_[i]->thread, i);
-    }
-  }
 }
 
 MultiFlowEngine::~MultiFlowEngine() {
@@ -107,7 +64,6 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
   if (finished_) {
     throw std::logic_error("MultiFlowEngine: onPacket after finish");
   }
-  maybeCompleteMigration();
   FlowId flow;
   if (const auto cached = demuxCache_.lookup(key)) {
     // Bursty interleaves make this the common case: one array compare
@@ -117,7 +73,7 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
     flow = flowTable_.intern(key);
     demuxCache_.remember(key, flow);
   }
-  std::unique_ptr<Control> admission;
+  std::unique_ptr<Admission> admission;
   features::FeatureSet admissionSet = options_.streaming.featureSet;
   const bool admitted = flow >= flowStats_.size();
   if (admitted) {
@@ -133,16 +89,14 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
     }
     stats.featureSet = admissionSet;
     if (auto backend = resolveBackend(key, stats, admissionSet)) {
-      admission = std::make_unique<Control>();
+      admission = std::make_unique<Admission>();
       admission->backend = std::move(backend);
     }
     flowStats_.push_back(std::move(stats));
     lruPrev_.push_back(kNoFlow);
     lruNext_.push_back(kNoFlow);
     lruLinkTail(flow);
-    const std::size_t placed = placeNewFlow(flow);
-    shardOf_.push_back(static_cast<std::uint32_t>(placed));
-    ++shards_[placed]->residentFlows;
+    shardOf_.push_back(static_cast<std::uint32_t>(flow % shards_.size()));
   } else {
     lruUnlink(flow);
     lruLinkTail(flow);
@@ -155,30 +109,16 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
   if (packet.arrivalNs > clock_) clock_ = packet.arrivalNs;
   if (options_.idleTimeoutNs > 0) evictIdleFlows();
 
-  if (migration_ && migration_->flow == flow) {
-    // The flow is mid-handover: park the packet so its stream has a clean
-    // cut — everything before the kMigrateOut runs on the source shard,
-    // everything parked here replays on the target right after the
-    // estimator lands there.
-    migration_->parked.push_back(packet);
-    return;
-  }
-
-  // A flow lives on exactly one shard at a time (`shardOf_`), so per-flow
-  // packet order survives the fan-out under any placement policy. (A
-  // re-interned generation may land on a different shard; its id is fresh,
-  // so no state aliases.)
+  // A flow lives on exactly one shard (`shardOf_`), so per-flow packet
+  // order survives the fan-out. (A re-interned generation may land on a
+  // different shard; its id is fresh, so no state aliases.)
   Shard& shard = *shards_[shardOf_[flow]];
   shard.pending.push_back(Item{.flow = flow,
                                .featureSet = admissionSet,
                                .packet = packet,
-                               .control = std::move(admission)});
+                               .admission = std::move(admission)});
   ++shard.packetsDispatched;
-  if (shard.pending.size() >= options_.dispatchBatch) {
-    flushPending(shard);
-    // Dispatch-batch boundary: the migration safe point.
-    maybeStartMigration();
-  }
+  if (shard.pending.size() >= options_.dispatchBatch) flushPending(shard);
 }
 
 core::StreamingEstimator::BackendPtr MultiFlowEngine::resolveBackend(
@@ -200,142 +140,6 @@ core::StreamingEstimator::BackendPtr MultiFlowEngine::resolveBackend(
   stats.vca = std::move(vca);
   stats.backend = backend;
   return backend;
-}
-
-std::uint64_t MultiFlowEngine::shardBacklog(const Shard& shard) const {
-  const std::uint64_t processed =
-      shard.packetsProcessed.load(std::memory_order_relaxed);
-  // The worker's counter trails the dispatcher's, so this never wraps; the
-  // guard is belt-and-braces against a torn read on exotic platforms.
-  return shard.packetsDispatched > processed
-             ? shard.packetsDispatched - processed
-             : 0;
-}
-
-std::size_t MultiFlowEngine::placeNewFlow(FlowId flow) const {
-  if (options_.placement == Placement::kHash || shards_.size() == 1) {
-    return flow % shards_.size();
-  }
-  // Least-loaded: backlog dominates under load; resident flows break ties
-  // between idle shards so a quiet start still spreads round-robin-ish.
-  std::size_t best = 0;
-  std::uint64_t bestScore = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::uint64_t score =
-        shardBacklog(*shards_[i]) + shards_[i]->residentFlows;
-    if (score < bestScore) {
-      bestScore = score;
-      best = i;
-    }
-  }
-  return best;
-}
-
-void MultiFlowEngine::maybeStartMigration() {
-  if (!options_.migrateFlows || migration_ || shards_.size() < 2) return;
-  if (batchesDispatched_ - lastMigrateScanBatch_ < kMigrateScanEveryBatches) {
-    return;
-  }
-  lastMigrateScanBatch_ = batchesDispatched_;
-  std::size_t maxShard = 0;
-  std::size_t minShard = 0;
-  std::uint64_t maxBacklog = 0;
-  std::uint64_t minBacklog = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::uint64_t backlog = shardBacklog(*shards_[i]);
-    if (backlog > maxBacklog) {
-      maxBacklog = backlog;
-      maxShard = i;
-    }
-    if (backlog < minBacklog) {
-      minBacklog = backlog;
-      minShard = i;
-    }
-  }
-  if (maxShard == minShard) return;
-  // Trigger policy: enough work queued for the move to matter at all, and
-  // the configured skew ratio exceeded (min+1 so an idle shard divides).
-  if (maxBacklog < options_.dispatchBatch) return;
-  if (static_cast<double>(maxBacklog) <
-      options_.migrateImbalance * static_cast<double>(minBacklog + 1)) {
-    return;
-  }
-  if (shards_[maxShard]->residentFlows < 2) {
-    // Moving a shard's only flow just relocates the hotspot.
-    return;
-  }
-  // Victim: the heaviest live flow on the overloaded shard. The LRU chain
-  // links exactly the live flows, so the walk is bounded by concurrency,
-  // and the scan-throttle above keeps it off the per-packet path.
-  FlowId victim = kNoFlow;
-  std::uint64_t victimPackets = 0;
-  for (FlowId f = lruHead_; f != kNoFlow; f = lruNext_[f]) {
-    if (shardOf_[f] != maxShard) continue;
-    if (flowStats_[f].packets > victimPackets) {
-      victim = f;
-      victimPackets = flowStats_[f].packets;
-    }
-  }
-  if (victim == kNoFlow) return;
-
-  auto ticket = std::make_shared<MigrationTicket>();
-  PendingMigration migration;
-  migration.flow = victim;
-  migration.from = maxShard;
-  migration.to = minShard;
-  migration.ticket = ticket;
-  migration_ = std::move(migration);
-
-  // The quiesce request rides the source FIFO behind every packet of the
-  // flow dispatched so far; flush immediately so the worker reaches it
-  // without waiting for the pending buffer to fill.
-  Shard& src = *shards_[maxShard];
-  auto control = std::make_unique<Control>();
-  control->ticket = std::move(ticket);
-  src.pending.push_back(Item{.flow = victim,
-                             .kind = Item::Kind::kMigrateOut,
-                             .control = std::move(control)});
-  flushPending(src);
-}
-
-void MultiFlowEngine::maybeCompleteMigration() {
-  if (!migration_ ||
-      !migration_->ticket->ready.load(std::memory_order_acquire)) {
-    return;
-  }
-  Shard& src = *shards_[migration_->from];
-  Shard& dst = *shards_[migration_->to];
-  const FlowId flow = migration_->flow;
-  // Every window the flow emitted on the source sits in its ring now (the
-  // worker flushed the batcher before publishing the ticket). Stash the
-  // ring so the next poll()/finish() delivers these ahead of anything the
-  // target emits — per-flow order survives the shard switch.
-  drainShard(src, stash_);
-
-  auto control = std::make_unique<Control>();
-  control->ticket = migration_->ticket;
-  control->backend = flowStats_[flow].backend;
-  dst.pending.push_back(Item{.flow = flow,
-                             .kind = Item::Kind::kMigrateIn,
-                             .featureSet = flowStats_[flow].featureSet,
-                             .control = std::move(control)});
-  // Replay the packets parked during the handover, in arrival order,
-  // behind the install item; subsequent packets route here directly. Full
-  // buffers go out as they fill, so no batch outgrows `dispatchBatch`.
-  std::vector<netflow::Packet> parked = std::move(migration_->parked);
-  shardOf_[flow] = static_cast<std::uint32_t>(migration_->to);
-  --src.residentFlows;
-  ++dst.residentFlows;
-  ++src.migrationsOut;
-  ++dst.migrationsIn;
-  ++migrationsDone_;
-  migration_.reset();
-  for (const auto& packet : parked) {
-    if (dst.pending.size() >= options_.dispatchBatch) flushPending(dst);
-    dst.pending.push_back(Item{.flow = flow, .packet = packet});
-    ++dst.packetsDispatched;
-  }
-  if (dst.pending.size() >= options_.dispatchBatch) flushPending(dst);
 }
 
 void MultiFlowEngine::lruLinkTail(FlowId flow) {
@@ -372,12 +176,6 @@ void MultiFlowEngine::evictIdleFlows() {
   while (lruHead_ != kNoFlow &&
          flowStats_[lruHead_].lastArrivalNs + options_.idleTimeoutNs <=
              clock_) {
-    if (migration_ && migration_->flow == lruHead_) {
-      // Mid-handover: its estimator is in flight between shards, so there
-      // is nowhere to send an evict item yet. The next sweep (migrations
-      // resolve within a few batches) reclaims it.
-      break;
-    }
     evictFlow(lruHead_);
   }
 }
@@ -389,11 +187,10 @@ void MultiFlowEngine::evictFlow(FlowId flow) {
   // The demux cache must never serve a retired generation.
   demuxCache_.forget(flowTable_.keyOf(flow));
   flowTable_.erase(flow);
-  // The control item rides the same FIFO as the flow's packets, so the
+  // The evict item rides the same FIFO as the flow's packets, so the
   // worker finalizes the estimator only after every dispatched packet of
   // this generation has been processed.
   Shard& shard = *shards_[shardOf_[flow]];
-  --shard.residentFlows;
   shard.pending.push_back(Item{.flow = flow, .kind = Item::Kind::kEvict});
   if (shard.pending.size() >= options_.dispatchBatch) flushPending(shard);
 }
@@ -402,7 +199,6 @@ void MultiFlowEngine::pump(common::TimeNs nowNs) {
   if (finished_) {
     throw std::logic_error("MultiFlowEngine: pump after finish");
   }
-  maybeCompleteMigration();
   if (nowNs > clock_) clock_ = nowNs;
   if (options_.idleTimeoutNs > 0) evictIdleFlows();
   netflow::Packet kick;
@@ -447,6 +243,7 @@ std::vector<MultiFlowEngine::Item> MultiFlowEngine::awaitSpare(Shard& shard) {
   // and can finish its batch only once there is room — and yield rather
   // than sleep: in the bench a sleeping dispatcher left later set-ups
   // (model parsing) slower more often, which a yielding one did not.
+  ++poolWaits_;
   for (;;) {
     drainInto(stash_);
     {
@@ -506,7 +303,6 @@ void MultiFlowEngine::workerLoop(Shard& shard) {
 
 void MultiFlowEngine::processBatch(Shard& shard,
                                    const std::vector<Item>& batch) {
-  const auto wallStart = std::chrono::steady_clock::now();
   std::uint64_t packetItems = 0;
   bool evicted = false;
   for (const Item& item : batch) {
@@ -529,52 +325,6 @@ void MultiFlowEngine::processBatch(Shard& shard,
         }
         continue;
       }
-      case Item::Kind::kMigrateOut: {
-        // Quiesce: the FIFO guarantees every dispatched packet of the flow
-        // was processed above/before this item. Flush the batcher so every
-        // window the flow emitted here reaches the ring, hand the estimator
-        // over, publish. The dispatcher picks the ticket up at its next
-        // safe point.
-        if (shard.batcher) shard.batcher->flush();
-        auto node = shard.estimators.extract(item.flow);
-        if (node.empty()) {
-          throw std::logic_error(
-              "MultiFlowEngine: migrate-out for a flow with no estimator");
-        }
-        MigrationTicket& ticket = *item.control->ticket;
-        ticket.estimator.emplace(std::move(node.mapped()));
-        ticket.ready.store(true, std::memory_order_release);
-        continue;
-      }
-      case Item::Kind::kMigrateIn: {
-        // Install: `ready` was acquire-checked by the dispatcher before it
-        // routed this item, so the estimator is here, fully quiesced.
-        MigrationTicket& ticket = *item.control->ticket;
-        if (!ticket.estimator.has_value()) {
-          throw std::logic_error(
-              "MultiFlowEngine: migrate-in with an empty ticket");
-        }
-        core::StreamingEstimator estimator = std::move(*ticket.estimator);
-        ticket.estimator.reset();
-        const FlowId flow = item.flow;
-        // Rebind the emission callback to THIS shard — the old one
-        // referenced the source shard's ring/batcher. Same capture shapes
-        // as estimator creation below.
-        if (shard.batcher) {
-          estimator.rebindCallback(
-              [&shard, flow, backend = item.control->backend](
-                  const core::StreamingOutput& out) {
-                shard.batcher->add(flow, out, backend, shard.streamClock);
-              });
-        } else {
-          estimator.rebindCallback(
-              [this, &shard, flow](const core::StreamingOutput& out) {
-                pushResult(shard, EngineResult{flow, out});
-              });
-        }
-        shard.estimators.try_emplace(flow, std::move(estimator));
-        continue;
-      }
       case Item::Kind::kPacket:
         break;
     }
@@ -585,11 +335,11 @@ void MultiFlowEngine::processBatch(Shard& shard,
     auto it = shard.estimators.find(item.flow);
     if (it == shard.estimators.end()) {
       const FlowId flow = item.flow;
-      // The backend (in `control`, null without one) and the feature set
+      // The backend (in `admission`, null without one) and the feature set
       // were resolved at admission and ride the generation's first packet;
       // the FIFO guarantees that packet creates the estimator.
       core::StreamingEstimator::BackendPtr backend =
-          item.control ? item.control->backend : nullptr;
+          item.admission ? item.admission->backend : nullptr;
       core::StreamingOptions streaming = options_.streaming;
       streaming.featureSet = item.featureSet;
       if (shard.batcher) {
@@ -632,19 +382,9 @@ void MultiFlowEngine::processBatch(Shard& shard,
       shard.batcher->onClock(shard.streamClock);
     }
   }
-  // Publish this batch's load sample (relaxed: the dispatcher's placement
-  // heuristics tolerate stale values; only tear-freedom matters).
   if (packetItems > 0) {
     shard.packetsProcessed.fetch_add(packetItems, std::memory_order_relaxed);
   }
-  const double batchNs =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - wallStart)
-                              .count());
-  shard.batchEwma.update(batchNs);
-  shard.batchEwmaNsBits.store(std::bit_cast<std::uint64_t>(
-                                  shard.batchEwma.value()),
-                              std::memory_order_relaxed);
 }
 
 void MultiFlowEngine::pushResult(Shard& shard, EngineResult result) {
@@ -656,11 +396,9 @@ void MultiFlowEngine::pushResult(Shard& shard, EngineResult result) {
 }
 
 std::size_t MultiFlowEngine::poll(std::vector<EngineResult>& out) {
-  if (!finished_) maybeCompleteMigration();
   const std::size_t before = out.size();
-  // Results stashed at a migration handover go first: they are the
-  // migrated flow's source-side windows, which must precede anything its
-  // new shard emits.
+  // Stashed results go first: they left their rings before anything still
+  // there, so per-flow order holds.
   for (auto& result : stash_) out.push_back(std::move(result));
   stash_.clear();
   drainInto(out);
@@ -691,19 +429,8 @@ std::vector<EngineResult> MultiFlowEngine::finish() {
   finished_ = true;
 
   // Results already stashed are older than anything still in a ring, so
-  // they lead. Then resolve an in-flight migration: the parked packets
-  // must reach the target shard before the pools wind down. Keep draining
-  // while we wait — the source worker may be parked on a full result ring.
+  // they lead; the per-flow bucketing below keeps that order.
   std::vector<EngineResult> merged = std::move(stash_);
-  stash_.clear();
-  while (migration_) {
-    maybeCompleteMigration();
-    if (migration_) {
-      drainInto(merged);
-      std::this_thread::yield();
-    }
-  }
-  for (auto& result : stash_) merged.push_back(std::move(result));
   stash_.clear();
 
   for (auto& shard : shards_) {
@@ -728,8 +455,7 @@ std::vector<EngineResult> MultiFlowEngine::finish() {
   throwIfWorkerFailed();
 
   // Deterministic merge: bucket by flow (per-flow order is already correct
-  // — one shard at a time per flow, and migration stashes preserved it),
-  // then concatenate in flow-id order.
+  // — one shard per flow, stash first), then concatenate in flow-id order.
   std::vector<std::vector<EngineResult>> byFlow(flowTable_.size());
   for (auto& result : merged) {
     byFlow[result.flow].push_back(std::move(result));
@@ -774,16 +500,14 @@ EngineStats MultiFlowEngine::stats() const {
     load.packetsDispatched = shard->packetsDispatched;
     load.packetsProcessed =
         shard->packetsProcessed.load(std::memory_order_relaxed);
-    load.backlog = shardBacklog(*shard);
-    load.residentFlows = shard->residentFlows;
-    load.ewmaBatchNs =
-        std::bit_cast<double>(shard->batchEwmaNsBits.load(
-            std::memory_order_relaxed));
-    load.migrationsIn = shard->migrationsIn;
-    load.migrationsOut = shard->migrationsOut;
+    // The worker's counter trails the dispatcher's, so this never wraps;
+    // the guard is belt-and-braces against a torn read.
+    load.backlog = load.packetsDispatched > load.packetsProcessed
+                       ? load.packetsDispatched - load.packetsProcessed
+                       : 0;
     stats.shardLoads.push_back(load);
   }
-  stats.migrations = migrationsDone_;
+  stats.poolWaits = poolWaits_;
   stats.demuxCacheLookups = demuxCache_.lookups();
   stats.demuxCacheHits = demuxCache_.hits();
   return stats;

@@ -7,13 +7,11 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "common/load.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/streaming.hpp"
 #include "engine/flow_table.hpp"
@@ -30,12 +28,9 @@
 /// `FlowTable` (fronted by a direct-mapped last-flow cache), and shards the
 /// flows across a fixed pool of worker threads. Each shard owns one
 /// `core::StreamingEstimator` per flow and an SPSC result ring; the caller
-/// thread merges the rings into one result stream. Placement is
-/// load-adaptive on request (`EngineOptions::placement`, `migrateFlows`):
-/// the dispatcher samples per-shard load counters lock-free, admits new
-/// flows to the least-loaded shard, and migrates a resident flow off an
-/// overloaded shard at dispatch-batch boundaries — all without changing any
-/// flow's output.
+/// thread merges the rings into one result stream. A flow generation runs
+/// on shard `id % workers` for its whole life: the shard is computed once,
+/// at admission, and looked up per packet.
 /// Flows may run different feature sets side by side
 /// (`EngineOptions::featureSetResolver`); each flow's set is fixed at
 /// admission for its whole generation.
@@ -59,36 +54,6 @@
 /// flow is a fresh generation with a fresh id and estimator.
 namespace vcaqoe::engine {
 
-/// Whether `EngineOptions::pinWorkers` can take effect on this platform
-/// (pthread_setaffinity_np). The flag is accepted everywhere; off-platform
-/// it is a no-op.
-#if defined(__linux__)
-inline constexpr bool kWorkerPinningSupported = true;
-#else
-inline constexpr bool kWorkerPinningSupported = false;
-#endif
-
-/// How the dispatcher picks a shard for a newly admitted flow. Placement is
-/// pure routing: the determinism contract is per-flow, so any policy (and
-/// any migration afterwards) yields bit-identical per-flow output — only
-/// which worker runs the flow changes. Covered by the placement legs of the
-/// determinism suites.
-enum class Placement {
-  /// Static `flow % shards` — the seed behavior and the default.
-  kHash,
-  /// Least-loaded shard by the live load score (backlog + resident flows),
-  /// sampled lock-free from the per-shard counters.
-  kLeastLoaded,
-};
-
-constexpr std::string_view toString(Placement placement) {
-  return placement == Placement::kLeastLoaded ? "least-loaded" : "hash";
-}
-
-/// Parses the CLI spelling ("hash" | "least-loaded"); nullopt on anything
-/// else so callers can reject unknown values loudly.
-std::optional<Placement> placementFromString(std::string_view text);
-
 struct EngineOptions {
   /// Per-flow streaming estimator configuration (window size, feature set,
   /// Algorithm 1 parameters, feature extraction).
@@ -103,13 +68,6 @@ struct EngineOptions {
       featureSetResolver;
   /// Worker threads (= shards). 0 or negative means hardware_concurrency.
   int numWorkers = 4;
-  /// Pin each shard's worker thread to one CPU, round-robin over the
-  /// online CPUs (shard i -> CPU i mod N). Best effort and Linux-only
-  /// (`kWorkerPinningSupported`); elsewhere, and on affinity errors, the
-  /// engine runs unpinned. Purely a placement hint for the scheduler:
-  /// output is bit-identical pinned or unpinned at any worker count
-  /// (covered by the determinism suites).
-  bool pinWorkers = false;
   /// Packets buffered per shard on the dispatcher side before the batch is
   /// handed to the worker; amortizes queue synchronization. A shard queues
   /// at most `MultiFlowEngine::kBatchPool` batches.
@@ -143,28 +101,6 @@ struct EngineOptions {
   /// flush at every dispatch-batch boundary (lowest latency). Ignored
   /// without batching.
   common::DurationNs inferenceFlushNs = 0;
-  /// Shard selection for newly admitted flows. `kLeastLoaded` reads the
-  /// per-shard load counters (lock-free) and admits to the least-loaded
-  /// shard, so a burst of new sessions spreads by actual load instead of id
-  /// arithmetic. Per-flow output is bit-identical either way.
-  Placement placement = Placement::kHash;
-  /// Rebalance live flows: when the dispatcher observes backlog imbalance
-  /// beyond `migrateImbalance` at a dispatch-batch boundary, it migrates
-  /// one resident flow from the most- to the least-loaded shard through a
-  /// quiesce-and-handover protocol that preserves per-flow order (and
-  /// therefore bit-identical output — see "Migration safe points" in the
-  /// README). Off by default: a uniform workload never needs it, and the
-  /// elephant-flow case it exists for is opt-in observable via
-  /// `EngineStats::migrations`.
-  bool migrateFlows = false;
-  /// Migration trigger: the max shard backlog must exceed this multiple of
-  /// the min backlog (plus one, so an idle shard doesn't divide by zero)
-  /// before a migration is considered. Values <= 1 effectively migrate on
-  /// any imbalance; the default demands a 4x skew.
-  double migrateImbalance = 4.0;
-  /// Expected concurrent flows, used to pre-size the `FlowTable` (buckets
-  /// and id sidecars) so steady ingest never rehashes. 0 = no pre-sizing.
-  std::size_t expectedFlows = 0;
 };
 
 /// Flush deadline that lets a batch of `batch` windows actually fill: a
@@ -213,9 +149,9 @@ struct FlowStats {
   }
 };
 
-/// One shard's load vector, sampled by the dispatcher from the counters the
-/// worker publishes (lock-free: the worker-side counters are relaxed
-/// atomics, the dispatcher-side ones are dispatcher-confined).
+/// One shard's load vector, sampled by the dispatcher: `packetsProcessed`
+/// is a relaxed atomic the worker publishes, `packetsDispatched` is
+/// dispatcher-confined.
 struct ShardLoadStats {
   /// Packets the dispatcher has queued to this shard (pending + batched).
   std::uint64_t packetsDispatched = 0;
@@ -223,13 +159,6 @@ struct ShardLoadStats {
   std::uint64_t packetsProcessed = 0;
   /// `packetsDispatched - packetsProcessed` at sampling time.
   std::uint64_t backlog = 0;
-  /// Live flows currently placed on this shard.
-  std::size_t residentFlows = 0;
-  /// EWMA of per-dispatch-batch wall-clock processing time on the worker.
-  double ewmaBatchNs = 0.0;
-  /// Flows this shard received / gave up through migration.
-  std::uint64_t migrationsIn = 0;
-  std::uint64_t migrationsOut = 0;
 };
 
 /// Counters for observability / benches.
@@ -255,8 +184,9 @@ struct EngineStats {
   inference::RegistryStats registry;
   /// Per-shard load vector (one entry per worker, in shard order).
   std::vector<ShardLoadStats> shardLoads;
-  /// Completed flow migrations (== sum of shard migrationsIn).
-  std::uint64_t migrations = 0;
+  /// Times the dispatcher found a shard's whole batch pool queued and had
+  /// to wait for the worker to hand a buffer back (see `kBatchPool`).
+  std::uint64_t poolWaits = 0;
   /// Dispatcher demux cache: per-packet 5-tuple lookups served by the
   /// direct-mapped last-flow cache vs falling through to `FlowTable`.
   std::uint64_t demuxCacheLookups = 0;
@@ -314,10 +244,8 @@ class MultiFlowEngine {
   int numWorkers() const { return static_cast<int>(shards_.size()); }
   EngineStats stats() const;
 
-  /// The shard currently hosting `flow` (id must be < flows().size()).
-  /// Placement-policy observability: with `Placement::kHash` and no
-  /// migration this is exactly `flow % numWorkers()` for a flow's whole
-  /// life; under kLeastLoaded/migration it reflects the live assignment.
+  /// The shard hosting `flow` (id must be < flows().size()): always
+  /// `flow % numWorkers()`, for the flow's whole life.
   std::size_t shardOf(FlowId flow) const { return shardOf_[flow]; }
 
   /// Accounting for every flow generation ever seen, indexed by `FlowId`.
@@ -325,27 +253,13 @@ class MultiFlowEngine {
   const std::vector<FlowStats>& flowStats() const { return flowStats_; }
 
  private:
-  /// One migrating flow's handover cell, shared between the source worker,
-  /// the dispatcher, and the target worker. The source moves the quiesced
-  /// estimator in and release-stores `ready`; the dispatcher acquire-loads
-  /// `ready` before routing the cell onward; the target takes the estimator
-  /// out. Each side touches `estimator` strictly on its own side of the
-  /// `ready` edge (then the batch-queue mutex), so the cell needs no lock.
-  struct MigrationTicket {
-    std::atomic<bool> ready{false};
-    std::optional<core::StreamingEstimator> estimator;
-  };
-
-  /// What only a flow generation's admission packet and the migration
-  /// items carry. Behind one pointer so plain packets do not pay for it.
-  struct Control {
+  /// What only a flow generation's admission packet carries. Behind one
+  /// pointer so plain packets do not pay for it.
+  struct Admission {
     /// The backend the dispatcher resolved at admission, attached when the
     /// worker creates the estimator (a returning re-interned flow
-    /// re-resolves); on kMigrateIn, re-captured into the target shard's
-    /// batcher callback.
+    /// re-resolves).
     core::StreamingEstimator::BackendPtr backend;
-    /// Set on kMigrateOut / kMigrateIn only.
-    std::shared_ptr<MigrationTicket> ticket;
   };
 
   /// One entry of a dispatch batch: 64 bytes, one cache line.
@@ -358,12 +272,6 @@ class MultiFlowEngine {
       /// `nowNs` rides the packet field) so the batcher deadline check that
       /// follows the batch sees the pumped time.
       kKick,
-      /// Quiesce `flow` on this (source) shard: flush the batcher, extract
-      /// the estimator into `control->ticket`, publish `ready`.
-      kMigrateOut,
-      /// Install `flow` on this (target) shard: take the estimator from
-      /// `control->ticket`, rebind its emission callback to this shard.
-      kMigrateIn,
     };
 
     FlowId flow = 0;
@@ -372,8 +280,9 @@ class MultiFlowEngine {
     /// estimator): the flow's resolved feature set.
     features::FeatureSet featureSet = features::FeatureSet::kIpUdp;
     netflow::Packet packet{};
-    /// Null on plain packets, evict and kick items.
-    std::unique_ptr<Control> control{};
+    /// Set on a generation's admission packet when a backend resolved;
+    /// null on every other item.
+    std::unique_ptr<Admission> admission{};
   };
 
   /// Thread-ownership map (enforced by `-Wthread-safety` on the guarded
@@ -381,7 +290,7 @@ class MultiFlowEngine {
   ///  * `mutex`-guarded: `batches`, `spare`, `done` — filled buffers to the
   ///    worker, recycled ones back.
   ///  * dispatcher-confined: `pending` (moved into `batches` under the
-  ///    lock), `buffers`.
+  ///    lock), `buffers`, `packetsDispatched`.
   ///  * worker-confined after construction: `estimators`, `batcher`,
   ///    `streamClock`.
   ///  * `error` is written by the worker and read by the dispatcher only
@@ -399,13 +308,17 @@ class MultiFlowEngine {
     std::vector<Item> pending;
     // Buffers of this shard's pool allocated so far (<= kBatchPool).
     std::size_t buffers = 1;
+    // Packets queued to this shard.
+    std::uint64_t packetsDispatched = 0;
 
     // Output side (lock-free SPSC ring, worker -> dispatcher).
     std::unique_ptr<SpscRing<EngineResult>> results;
 
     // Worker-owned per-flow estimators (keyed by FlowId for deterministic
-    // finalization order).
-    std::map<FlowId, core::StreamingEstimator> estimators;
+    // finalization order). The dispatcher writes `pending` and
+    // `packetsDispatched` per packet and the worker writes `streamClock`
+    // per packet, so the worker's fields start a cache line of their own.
+    alignas(64) std::map<FlowId, core::StreamingEstimator> estimators;
 
     // Worker-owned cross-flow inference batcher (null when
     // `inferenceBatch <= 1`): estimators emit prediction-less windows into
@@ -415,21 +328,9 @@ class MultiFlowEngine {
     // driving the batcher's deadline flush.
     common::TimeNs streamClock = std::numeric_limits<common::TimeNs>::min();
 
-    // --- Load accounting ---------------------------------------------
-    // Worker-published, dispatcher-sampled (relaxed atomics: the values
-    // steer placement heuristics, never correctness, so no ordering is
-    // needed beyond the counters being tear-free).
+    // Worker-published, dispatcher-sampled (relaxed: the counter is only
+    // reported, so it needs to be tear-free, not ordered).
     std::atomic<std::uint64_t> packetsProcessed{0};
-    /// EWMA of per-dispatch-batch processing wall time, published as the
-    /// double's bit pattern (worker bit_casts in, readers bit_cast out).
-    std::atomic<std::uint64_t> batchEwmaNsBits{0};
-    // Worker-confined smoother behind `batchEwmaNsBits`.
-    common::LoadEwma batchEwma{0.2};
-    // Dispatcher-confined counters.
-    std::uint64_t packetsDispatched = 0;
-    std::size_t residentFlows = 0;
-    std::uint64_t migrationsIn = 0;
-    std::uint64_t migrationsOut = 0;
 
     std::string error;  // first exception message seen by the worker
     std::thread thread;
@@ -457,25 +358,6 @@ class MultiFlowEngine {
   void evictIdleFlows();
   void evictFlow(FlowId flow);
 
-  // Load-adaptive placement (dispatcher side only).
-  std::uint64_t shardBacklog(const Shard& shard) const;
-  std::size_t placeNewFlow(FlowId flow) const;
-  void maybeStartMigration();
-  void maybeCompleteMigration();
-
-  /// One in-flight migration, dispatcher-owned. While set, packets of the
-  /// migrating flow are parked here (in arrival order) instead of being
-  /// routed, so the flow's stream has a clean cut: everything before the
-  /// kMigrateOut runs on the source, everything after the handover on the
-  /// target, nothing in between.
-  struct PendingMigration {
-    FlowId flow = kNoFlow;
-    std::size_t from = 0;
-    std::size_t to = 0;
-    std::shared_ptr<MigrationTicket> ticket;
-    std::vector<netflow::Packet> parked;
-  };
-
   EngineOptions options_;
   /// VCA verdicts for registry keys at flow admission (default resolver).
   core::MediaClassifier classifier_;
@@ -493,6 +375,7 @@ class MultiFlowEngine {
   std::uint64_t flowsEvicted_ = 0;
   std::uint64_t windowsIpUdp_ = 0;
   std::uint64_t windowsRtp_ = 0;
+  std::uint64_t poolWaits_ = 0;
 
   // Per-flow accounting plus an intrusive LRU over live flows, both indexed
   // by FlowId. `clock_` is the engine's notion of "now": the max arrival
@@ -504,21 +387,13 @@ class MultiFlowEngine {
   FlowId lruTail_ = kNoFlow;
   common::TimeNs clock_ = std::numeric_limits<common::TimeNs>::min();
 
-  /// Live flow → shard assignment, indexed by FlowId (the `shardOf`
-  /// indirection that replaced the hardcoded modulo). Entries of evicted
-  /// generations are stale but never read — a fresh generation appends.
+  /// Flow → shard, indexed by FlowId: `id % workers`, computed once at
+  /// admission so the per-packet route is a lookup, not a divide.
   std::vector<std::uint32_t> shardOf_;
-  std::optional<PendingMigration> migration_;
-  /// Results pulled off the rings by the dispatcher itself, delivered ahead
-  /// of everything else by the next poll()/finish(): a migration source's
-  /// ring at handover (so the migrated flow's source-side windows precede
-  /// its target-side ones), and every ring while the dispatcher waits on a
-  /// used-up batch pool (so a worker parked on a full ring can finish).
+  /// Results the dispatcher pulled off the rings while it waited on a
+  /// used-up batch pool (so a worker parked on a full ring can finish),
+  /// delivered ahead of everything else by the next poll()/finish().
   std::vector<EngineResult> stash_;
-  std::uint64_t migrationsDone_ = 0;
-  /// Batch count at the last migration scan, throttling the O(live flows)
-  /// victim search to at most once per few dispatch batches.
-  std::uint64_t lastMigrateScanBatch_ = 0;
 };
 
 }  // namespace vcaqoe::engine

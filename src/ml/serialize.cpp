@@ -292,6 +292,8 @@ RandomForest parseForest(std::string_view text) {
   if (!in.word(key) || !in.number(treeCount) || key != "trees") {
     malformed("missing trees");
   }
+  // A forest without trees predicts nothing (`saveForest` never writes one).
+  if (treeCount == 0) malformed("no trees");
   // A tree is at least its `tree` keyword, its count and one node.
   checkDeclaredCount(treeCount, "tree", 7, in);
   std::vector<DecisionTree> trees;

@@ -26,8 +26,8 @@ inline constexpr const char* kForestFileExtension = ".forest";
 void saveForest(const RandomForest& forest, std::ostream& out);
 void saveForestFile(const RandomForest& forest, const std::string& path);
 
-/// Deserializes a forest. Throws std::runtime_error on malformed input or
-/// version mismatch.
+/// Deserializes a forest. Throws std::runtime_error on malformed input
+/// (a forest of zero trees included) or version mismatch.
 RandomForest loadForest(std::istream& in);
 RandomForest loadForestFile(const std::string& path);
 

@@ -531,32 +531,5 @@ TEST(Load, HardwareThreadsOrGuardsTheZeroCase) {
   EXPECT_EQ(hardwareThreadsOr(7), reported > 0 ? reported : 7u);
 }
 
-TEST(Load, EwmaSeedsOnFirstSampleThenSmooths) {
-  LoadEwma ewma(0.5);
-  EXPECT_FALSE(ewma.seeded());
-  EXPECT_EQ(ewma.value(), 0.0);
-  ewma.update(100.0);  // first sample seeds, no blend with the zero init
-  EXPECT_TRUE(ewma.seeded());
-  EXPECT_EQ(ewma.value(), 100.0);
-  ewma.update(200.0);
-  EXPECT_EQ(ewma.value(), 150.0);  // 0.5*200 + 0.5*100
-  ewma.update(150.0);
-  EXPECT_EQ(ewma.value(), 150.0);  // steady input is a fixed point
-}
-
-TEST(Load, EwmaConvergesTowardAConstantStream) {
-  LoadEwma ewma(0.2);
-  ewma.update(1000.0);
-  for (int i = 0; i < 100; ++i) ewma.update(10.0);
-  EXPECT_NEAR(ewma.value(), 10.0, 1e-6);
-}
-
-TEST(Load, EwmaRejectsOutOfRangeAlpha) {
-  EXPECT_THROW(LoadEwma(0.0), std::invalid_argument);
-  EXPECT_THROW(LoadEwma(-0.1), std::invalid_argument);
-  EXPECT_THROW(LoadEwma(1.5), std::invalid_argument);
-  EXPECT_NO_THROW(LoadEwma(1.0));  // alpha=1: tracks the last sample
-}
-
 }  // namespace
 }  // namespace vcaqoe::common

@@ -57,7 +57,7 @@ std::vector<std::vector<core::StreamingOutput>> sequentialReference(
     const Interleaved& in, const core::StreamingOptions& options) {
   std::vector<std::vector<core::StreamingOutput>> outputs(in.perFlow.size());
   for (std::size_t f = 0; f < in.perFlow.size(); ++f) {
-    core::StreamingIpUdpEstimator estimator(
+    core::StreamingEstimator estimator(
         options,
         [&outputs, f](const core::StreamingOutput& out) {
           outputs[f].push_back(out);
@@ -158,20 +158,24 @@ TEST(SpscRing, MinimumCapacityRingStillMovesData) {
   EXPECT_FALSE(ring.tryPop().has_value());
 }
 
-/// Worker count x pinning: pinning is a placement hint and must never
-/// change output.
+/// Worker count x backpressure.
 class EngineDeterminism
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 /// The tentpole property: sharded output must equal the sequential
 /// per-flow streaming estimator, window for window, bit for bit, for any
-/// worker count — pinned or not (on platforms without affinity support
-/// pinWorkers is an accepted no-op, so the matrix still runs everywhere).
+/// worker count. The backpressured leg gives every shard a 2-slot result
+/// ring and polls once, halfway: each worker parks on its full ring
+/// mid-stream, the dispatcher uses up that shard's batch pool and drains
+/// the rings into its stash while it waits, and the stash must still come
+/// out ahead of the rings, from poll() and from finish().
 TEST_P(EngineDeterminism, ShardedEqualsSequential) {
   const int workers = std::get<0>(GetParam());
-  const bool pinned = std::get<1>(GetParam());
+  const bool backpressured = std::get<1>(GetParam());
   const int flows = 13;  // coprime with worker counts: shards get uneven load
-  const auto in = makeInterleaved(flows, 900);
+  // About 5 windows per flow when backpressured: a worker parks by its
+  // shard's third window, with more than a batch pool of packets to come.
+  const auto in = makeInterleaved(flows, backpressured ? 4000 : 900);
 
   core::StreamingOptions streaming;
   const auto want = sequentialReference(in, streaming);
@@ -180,12 +184,18 @@ TEST_P(EngineDeterminism, ShardedEqualsSequential) {
   options.streaming = streaming;
   options.numWorkers = workers;
   options.dispatchBatch = 64;
-  options.pinWorkers = pinned;
+  if (backpressured) options.resultRingCapacity = 0;  // clamps to 2
   MultiFlowEngine engine(options);
+  std::vector<EngineResult> polled;
+  std::size_t fed = 0;
   for (const auto& [flow, packet] : in.stream) {
     engine.onPacket(in.keys[flow], packet);
+    if (backpressured && ++fed == in.stream.size() / 2) engine.poll(polled);
   }
   const auto got = engine.finish();
+  if (backpressured) {
+    EXPECT_GT(engine.stats().poolWaits, 0u);
+  }
 
   ASSERT_EQ(engine.flows().size(), static_cast<std::size_t>(flows));
   // Engine ids are first-seen dense (arrival order of first packets), which
@@ -199,6 +209,9 @@ TEST_P(EngineDeterminism, ShardedEqualsSequential) {
 
   std::vector<std::vector<core::StreamingOutput>> byFlow(
       static_cast<std::size_t>(flows));
+  for (const auto& result : polled) {
+    byFlow[result.flow].push_back(result.output);
+  }
   std::size_t previousFlow = 0;
   std::int64_t previousWindow = -1;
   for (const auto& result : got) {
@@ -518,7 +531,7 @@ TEST(MultiFlowEngine, IdleFlowIsEvictedFinalizedAndReinternedFresh) {
   // Finalize-on-evict: generation 0 emitted exactly what a standalone
   // estimator fed the same burst emits, windows and fields bit-identical.
   std::vector<core::StreamingOutput> want;
-  core::StreamingIpUdpEstimator reference(
+  core::StreamingEstimator reference(
       options.streaming,
       [&want](const core::StreamingOutput& out) { want.push_back(out); });
   for (const auto& p : burstA) reference.onPacket(p);
@@ -627,7 +640,7 @@ TEST(MultiFlowEngine, PumpEvictsIdleFlowsAndFlushesPendingWithoutPackets) {
 
   // Reference: a standalone estimator over the same burst, finalized.
   std::vector<core::StreamingOutput> want;
-  core::StreamingIpUdpEstimator reference(
+  core::StreamingEstimator reference(
       options.streaming,
       [&want](const core::StreamingOutput& out) { want.push_back(out); });
   for (const auto& p : burst) reference.onPacket(p);
@@ -674,7 +687,7 @@ TEST(MultiFlowEngine, PumpFlushesBatcherDeadlineOnQuietStream) {
   for (const auto& p : burst) engine.onPacket(makeKey(1), p);
 
   std::vector<core::StreamingOutput> want;
-  core::StreamingIpUdpEstimator reference(
+  core::StreamingEstimator reference(
       options.streaming,
       [&want](const core::StreamingOutput& out) { want.push_back(out); },
       registry->resolve("teams", inference::QoeTarget::kFrameRate));
@@ -803,9 +816,7 @@ TEST(FlowDemuxCache, DirectMappedCollisionDisplacesNotCorrupts) {
   EXPECT_EQ(cache.lookup(colliding), std::optional<FlowId>(2u));
 }
 
-/// kHash is the seed behavior and the default: the one-liner contract
-/// (shard = id mod workers, for the flow's whole life) regression-tested
-/// on its own, independent of the adaptive machinery.
+/// The one shard rule: shard = id mod workers, for the flow's whole life.
 TEST(MultiFlowEngine, HashPlacementKeepsModuloContract) {
   const auto in = makeInterleaved(13, 200);
   EngineOptions options;
@@ -819,20 +830,100 @@ TEST(MultiFlowEngine, HashPlacementKeepsModuloContract) {
   for (FlowId id = 0; id < 13; ++id) {
     EXPECT_EQ(engine.shardOf(id), id % 4u) << "flow " << id;
   }
-  EXPECT_EQ(engine.stats().migrations, 0u);
 }
 
-TEST(MultiFlowEngine, PlacementStringsRoundTripAndRejectUnknown) {
-  EXPECT_EQ(placementFromString("hash"), Placement::kHash);
-  EXPECT_EQ(placementFromString("least-loaded"), Placement::kLeastLoaded);
-  EXPECT_FALSE(placementFromString("bogus").has_value());
-  EXPECT_EQ(toString(Placement::kHash), "hash");
-  EXPECT_EQ(toString(Placement::kLeastLoaded), "least-loaded");
+class MultiFlowEngineShardRule : public ::testing::TestWithParam<int> {};
+
+/// The one shard rule under flow churn, for worker counts that do and do
+/// not divide the key count: five keys come back in three rounds, each
+/// round a fresh generation (the previous one went idle and was evicted),
+/// so one key's generations land on different shards. Every generation
+/// runs on `id % workers`, and each shard is dispatched exactly the packets
+/// of the generations the rule gives it.
+TEST_P(MultiFlowEngineShardRule, EveryGenerationRoutesToIdModuloWorkers) {
+  const int workers = GetParam();
+  constexpr std::uint32_t kKeys = 5;
+  constexpr int kRounds = 3;
+  EngineOptions options;
+  options.numWorkers = workers;
+  options.dispatchBatch = 8;
+  options.idleTimeoutNs = 2 * common::kNanosPerSecond;
+  MultiFlowEngine engine(options);
+  for (int round = 0; round < kRounds; ++round) {
+    // The idle kick retires the previous round's generations before any
+    // key returns.
+    engine.pump(round * 10 * common::kNanosPerSecond);
+    for (std::uint32_t k = 0; k < kKeys; ++k) {
+      const auto start = round * 10 * common::kNanosPerSecond +
+                         static_cast<common::TimeNs>(k) * 50'000'000LL;
+      for (const auto& p : steadyTrace(start, 40 + static_cast<int>(k))) {
+        engine.onPacket(makeKey(k), p);
+      }
+    }
+  }
+  const auto results = engine.finish();
+
+  const auto& flowStats = engine.flowStats();
+  ASSERT_EQ(flowStats.size(), kKeys * kRounds);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.flowsEvicted, kKeys * (kRounds - 1));
+  std::vector<std::uint64_t> wantDispatched(
+      static_cast<std::size_t>(workers), 0);
+  std::uint64_t windows = 0;
+  for (FlowId id = 0; id < flowStats.size(); ++id) {
+    // Ids are first-seen dense: round r, key k is generation 5r + k.
+    EXPECT_EQ(flowStats[id].key, makeKey(id % kKeys)) << "flow " << id;
+    EXPECT_EQ(flowStats[id].packets, 40u + id % kKeys) << "flow " << id;
+    EXPECT_EQ(engine.shardOf(id), id % static_cast<std::size_t>(workers))
+        << "flow " << id;
+    wantDispatched[engine.shardOf(id)] += flowStats[id].packets;
+    windows += flowStats[id].windowsEmitted;
+  }
+  ASSERT_EQ(stats.shardLoads.size(), static_cast<std::size_t>(workers));
+  for (std::size_t shard = 0; shard < stats.shardLoads.size(); ++shard) {
+    EXPECT_EQ(stats.shardLoads[shard].packetsDispatched,
+              wantDispatched[shard])
+        << "shard " << shard;
+    EXPECT_EQ(stats.shardLoads[shard].packetsProcessed,
+              wantDispatched[shard])
+        << "shard " << shard;
+  }
+  EXPECT_GT(results.size(), 0u);
+  EXPECT_EQ(windows, results.size());
 }
 
-/// One elephant among mice: flow 0 carries most of the packets, the shape
-/// that makes static hashing pin a shard and is the reason migration
-/// exists.
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, MultiFlowEngineShardRule,
+                         ::testing::Values(1, 2, 3, 4, 7, 8));
+
+/// `poolWaits` counts only real waits. 15 full dispatch batches fit a
+/// shard's pool however slow its worker, so feeding them never waits; a
+/// worker parked on a 2-slot result ring that nobody polls makes the
+/// dispatcher use the pool up and wait.
+TEST(MultiFlowEngine, PoolWaitsCountOnlyAUsedUpPool) {
+  constexpr std::size_t kBatch = 64;
+  const auto key = makeKey(1);
+  const auto feed = [&](int packets, std::size_t ringCapacity) {
+    EngineOptions options;
+    options.numWorkers = 1;
+    options.dispatchBatch = kBatch;
+    options.resultRingCapacity = ringCapacity;
+    MultiFlowEngine engine(options);
+    // 100 packets a second: one window per 100 packets.
+    for (const auto& p : steadyTrace(0, packets)) engine.onPacket(key, p);
+    const auto waits = engine.stats().poolWaits;
+    (void)engine.finish();
+    return waits;
+  };
+  EXPECT_EQ(feed(static_cast<int>((MultiFlowEngine::kBatchPool - 1) * kBatch),
+                 0),
+            0u);
+  // The worker parks by its third window (~300 packets, a few batches
+  // handed back); 3000 packets outrun the 16-batch pool by far.
+  EXPECT_GT(feed(3000, 0), 0u);
+}
+
+/// One elephant among mice: flow 0 carries most of the packets, so one
+/// shard runs far hotter than its siblings.
 Interleaved makeSkewedInterleaved(int flows, int elephantPackets,
                                   int mousePackets) {
   Interleaved in;
@@ -854,18 +945,17 @@ Interleaved makeSkewedInterleaved(int flows, int elephantPackets,
   return in;
 }
 
-class EnginePlacementDeterminism
-    : public ::testing::TestWithParam<std::tuple<int, Placement, bool>> {};
+/// Worker count x poll cadence x pump cadence, in packets fed (0 = never).
+class EngineSkewedDeterminism
+    : public ::testing::TestWithParam<
+          std::tuple<int, std::size_t, std::size_t>> {};
 
-/// The adaptive-sharding leg of the determinism contract: placement policy
-/// and live migration may change WHERE a flow runs, never WHAT it emits.
-/// Every cell of workers x placement x migration must be bit-identical to
-/// the sequential per-flow reference on a skewed (one-elephant) stream fed
-/// with a poll cadence, so migrations can actually occur mid-run.
-TEST_P(EnginePlacementDeterminism, SkewedStreamBitIdenticalToSequential) {
-  const int workers = std::get<0>(GetParam());
-  const Placement placement = std::get<1>(GetParam());
-  const bool migrate = std::get<2>(GetParam());
+/// The skewed leg of the determinism contract: on a one-elephant stream,
+/// fed with or without polls and live-mode pumps in between, every worker
+/// count must stay bit-identical to the sequential per-flow reference, and
+/// the load accounting must close.
+TEST_P(EngineSkewedDeterminism, SkewedStreamBitIdenticalToSequential) {
+  const auto [workers, pollEvery, pumpEvery] = GetParam();
   const int flows = 9;
   const auto in = makeSkewedInterleaved(flows, 2600, 260);
 
@@ -876,15 +966,14 @@ TEST_P(EnginePlacementDeterminism, SkewedStreamBitIdenticalToSequential) {
   options.streaming = streaming;
   options.numWorkers = workers;
   options.dispatchBatch = 16;
-  options.placement = placement;
-  options.migrateFlows = migrate;
-  options.migrateImbalance = 1.5;  // aggressive: let imbalance trigger early
   MultiFlowEngine engine(options);
   std::vector<EngineResult> polled;
   std::size_t fed = 0;
   for (const auto& [flow, packet] : in.stream) {
     engine.onPacket(in.keys[flow], packet);
-    if (++fed % 113 == 0) engine.poll(polled);
+    ++fed;
+    if (pumpEvery != 0 && fed % pumpEvery == 0) engine.pump(packet.arrivalNs);
+    if (pollEvery != 0 && fed % pollEvery == 0) engine.poll(polled);
   }
   for (auto& result : engine.finish()) polled.push_back(std::move(result));
 
@@ -913,89 +1002,25 @@ TEST_P(EnginePlacementDeterminism, SkewedStreamBitIdenticalToSequential) {
   ASSERT_EQ(stats.shardLoads.size(), static_cast<std::size_t>(workers));
   std::uint64_t dispatched = 0;
   std::uint64_t processed = 0;
-  std::uint64_t migrationsIn = 0;
   for (const auto& load : stats.shardLoads) {
     dispatched += load.packetsDispatched;
     processed += load.packetsProcessed;
-    migrationsIn += load.migrationsIn;
     EXPECT_EQ(load.backlog, 0u);
   }
   EXPECT_EQ(dispatched, stats.packetsIngested);
   EXPECT_EQ(processed, stats.packetsIngested);
-  EXPECT_EQ(migrationsIn, stats.migrations);
-  if (!migrate) {
-    EXPECT_EQ(stats.migrations, 0u);
+  if (pumpEvery != 0) {
+    // Each pump hands every shard its pending items as one batch.
+    EXPECT_GE(stats.batchesDispatched,
+              fed / pumpEvery * static_cast<std::size_t>(workers));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PlacementMatrix, EnginePlacementDeterminism,
+    CadenceMatrix, EngineSkewedDeterminism,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(Placement::kHash,
-                                         Placement::kLeastLoaded),
-                       ::testing::Bool()));
-
-/// Forces a migration and proves the whole protocol end to end: tiny
-/// result rings park the elephant's worker (backlog builds), the
-/// imbalance trigger fires, packets arriving mid-handover are parked and
-/// replayed, and the flow ends up on a different shard — with output still
-/// bit-identical to the sequential reference.
-TEST(MultiFlowEngine, ForcedMigrationMovesElephantAndPreservesOutput) {
-  const int flows = 4;  // with 2 workers and kHash: flows {0,2} share shard 0
-  const auto in = makeSkewedInterleaved(flows, 4000, 150);
-  core::StreamingOptions streaming;
-  const auto want = sequentialReference(in, streaming);
-
-  EngineOptions options;
-  options.streaming = streaming;
-  options.numWorkers = 2;
-  options.dispatchBatch = 8;
-  options.resultRingCapacity = 0;  // clamps to 2: the elephant's worker parks
-  options.migrateFlows = true;
-  options.migrateImbalance = 1.0;
-  MultiFlowEngine engine(options);
-  // No poll during the feed: the source worker stays parked on its full
-  // ring, so the handover resolves under maximum backlog (mostly inside
-  // finish(), with a pile of parked packets to replay).
-  for (const auto& [flow, packet] : in.stream) {
-    engine.onPacket(in.keys[flow], packet);
-  }
-  const auto got = engine.finish();
-
-  const auto stats = engine.stats();
-  EXPECT_GE(stats.migrations, 1u);
-  const auto elephant = engine.flows().find(in.keys[0]);
-  ASSERT_TRUE(elephant.has_value());
-  // kHash placed the elephant on shard id%2; at least one migration moved
-  // some flow, and the per-shard counters agree with the total.
-  std::uint64_t migrationsIn = 0;
-  std::uint64_t migrationsOut = 0;
-  for (const auto& load : stats.shardLoads) {
-    migrationsIn += load.migrationsIn;
-    migrationsOut += load.migrationsOut;
-    EXPECT_GT(load.ewmaBatchNs, 0.0);
-  }
-  EXPECT_EQ(migrationsIn, stats.migrations);
-  EXPECT_EQ(migrationsOut, stats.migrations);
-
-  std::vector<FlowId> idOfKey(static_cast<std::size_t>(flows));
-  for (int f = 0; f < flows; ++f) {
-    const auto id = engine.flows().find(in.keys[static_cast<std::size_t>(f)]);
-    ASSERT_TRUE(id.has_value());
-    idOfKey[static_cast<std::size_t>(f)] = *id;
-  }
-  std::vector<std::vector<core::StreamingOutput>> byFlow(
-      static_cast<std::size_t>(flows));
-  for (const auto& result : got) byFlow[result.flow].push_back(result.output);
-  for (int f = 0; f < flows; ++f) {
-    const auto& gotFlow = byFlow[idOfKey[static_cast<std::size_t>(f)]];
-    const auto& wantFlow = want[static_cast<std::size_t>(f)];
-    ASSERT_EQ(gotFlow.size(), wantFlow.size()) << "flow " << f;
-    for (std::size_t w = 0; w < wantFlow.size(); ++w) {
-      expectSameOutput(gotFlow[w], wantFlow[w]);
-    }
-  }
-}
+                       ::testing::Values(std::size_t{0}, std::size_t{113}),
+                       ::testing::Values(std::size_t{0}, std::size_t{89})));
 
 /// The dispatcher-side demux cache is accounted and actually hit on bursty
 /// interleaves, and an evicted generation is never served stale.

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/time.hpp"
@@ -15,7 +14,6 @@
 #include "engine/synthetic.hpp"
 #include "inference/backends.hpp"
 #include "inference/model_registry.hpp"
-#include "ingest/live_capture.hpp"
 #include "ingest/packet_source.hpp"
 #include "ingest/pcap_replay.hpp"
 #include "ingest/replay_driver.hpp"
@@ -176,45 +174,6 @@ TEST(PcapReplaySource, PacedReplayReproducesCaptureGaps) {
                            .count();
   EXPECT_EQ(count, 3u);
   EXPECT_GE(elapsed, 15.0);  // >= the paced span, minus scheduler slack
-}
-
-TEST(LiveCaptureStub, DrivesEngineIdenticallyToDirectFeed) {
-  engine::EngineOptions options;
-  options.numWorkers = 2;
-  const auto stream = makeStream(4, 300);
-  const auto want = directFeed(stream, options);
-
-  LiveCaptureStub capture;
-  std::thread producer([&] {
-    for (const auto& sp : stream) capture.push(sp.flow, sp.packet);
-    capture.close();
-  });
-  engine::MultiFlowEngine eng(options);
-  const auto report = replay(capture, eng);
-  producer.join();
-
-  EXPECT_EQ(report.packets, stream.size());
-  ASSERT_EQ(report.results.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(report.results[i].flow, want[i].flow);
-    expectSameOutput(report.results[i].output, want[i].output);
-  }
-}
-
-TEST(LiveCaptureStub, CloseUnblocksConsumerAndDropsLatePushes) {
-  LiveCaptureStub capture;
-  netflow::Packet p;
-  p.sizeBytes = 100;
-  capture.push(engine::syntheticFlowKey(0), p);
-  EXPECT_EQ(capture.queued(), 1u);
-
-  SourcePacket sp;
-  EXPECT_TRUE(capture.next(sp));
-  std::thread consumer([&] { EXPECT_FALSE(capture.next(sp)); });
-  capture.close();
-  consumer.join();
-  capture.push(engine::syntheticFlowKey(0), p);  // after close: dropped
-  EXPECT_EQ(capture.queued(), 0u);
 }
 
 /// Serves a fixed stream and logs every pull, so a test can see how the

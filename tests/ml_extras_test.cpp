@@ -494,6 +494,20 @@ TEST(Serialize, RejectsAbsurdDeclaredCounts) {
   }
 }
 
+TEST(Serialize, RejectsZeroTrees) {
+  // A zero-tree file is malformed, like the flat loader's "no trees":
+  // loaded, it would be an unfitted forest whose predict throws.
+  std::stringstream in(
+      "vcaqoe-forest 1\ntask regression\nfeatures 0\nimportance 0\n"
+      "trees 0\n");
+  try {
+    (void)loadForest(in);
+    FAIL() << "a zero-tree forest loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "model load: no trees");
+  }
+}
+
 TEST(Serialize, DeclaredCountPastBytesLeftFailsBeforeAllocating) {
   // Each count is bounded by what is left of the file (two bytes per
   // token at least) before its arrays are sized: these files declare 2^24
@@ -608,6 +622,23 @@ TEST(SerializeDifferential, RandomBitPatternsLoadAsTheReference) {
   std::ostringstream text;
   saveFlattenedForest(flat, text);
   EXPECT_EQ(reference::flatDifference(text.str()), "");
+}
+
+TEST(SerializeDifferential, ZeroTreesIsTheListedStricterRejection) {
+  // Besides the count bound, the one input class the parser rejects and
+  // the reference loads: a node-tree file of zero trees, which the
+  // reference returns unfitted. Everything else must still agree.
+  const std::string treeless =
+      "vcaqoe-forest 1\ntask regression\nfeatures 0\nimportance 0\n"
+      "trees 0\n";
+  const auto want = reference::loadOrReject(
+      [](std::istream& in) { return reference::loadForest(in); }, treeless);
+  ASSERT_TRUE(want.has_value());
+  EXPECT_FALSE(want->trained());
+  EXPECT_EQ(reference::treeDifference(treeless),
+            "rejected what the reference accepts");
+  // With trailing payload both reject, so the loaders agree again.
+  EXPECT_EQ(reference::treeDifference(treeless + "tree 1\n-1 0 0 0 1\n"), "");
 }
 
 TEST(SerializeDifferential, EdgeTokensMatchTheReference) {

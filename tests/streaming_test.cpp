@@ -42,13 +42,13 @@ StreamingOptions optionsFor(const std::string& vca) {
 }
 
 TEST(Streaming, RequiresCallback) {
-  EXPECT_THROW(StreamingIpUdpEstimator(StreamingOptions{}, nullptr),
+  EXPECT_THROW(StreamingEstimator(StreamingOptions{}, nullptr),
                std::invalid_argument);
 }
 
 TEST(Streaming, RejectsOutOfOrderPackets) {
-  StreamingIpUdpEstimator streaming(StreamingOptions{},
-                                    [](const StreamingOutput&) {});
+  StreamingEstimator streaming(StreamingOptions{},
+                               [](const StreamingOutput&) {});
   netflow::Packet p;
   p.arrivalNs = 100;
   p.sizeBytes = 1000;
@@ -60,7 +60,7 @@ TEST(Streaming, RejectsOutOfOrderPackets) {
 TEST(Streaming, EmitsOneOutputPerWindow) {
   const auto session = makeSession("teams", 5);
   std::vector<StreamingOutput> outputs;
-  StreamingIpUdpEstimator streaming(
+  StreamingEstimator streaming(
       optionsFor("teams"),
       [&](const StreamingOutput& out) { outputs.push_back(out); });
   for (const auto& pkt : session.packets) streaming.onPacket(pkt);
@@ -85,7 +85,7 @@ TEST_P(StreamingParity, MatchesBatchPipeline) {
 
   // Streaming pass.
   std::vector<StreamingOutput> outputs;
-  StreamingIpUdpEstimator streaming(
+  StreamingEstimator streaming(
       optionsFor(vca),
       [&](const StreamingOutput& out) { outputs.push_back(out); });
   for (const auto& pkt : session.packets) streaming.onPacket(pkt);
@@ -129,7 +129,7 @@ TEST(Streaming, AttachedBackendPredictsEveryWindow) {
   forest.fit(data, ml::TreeTask::kRegression, forestOptions, 3);
 
   int withPrediction = 0;
-  StreamingIpUdpEstimator streaming(
+  StreamingEstimator streaming(
       optionsFor("teams"), [&](const StreamingOutput& out) {
         const auto fps = out.predictions.get(inference::QoeTarget::kFrameRate);
         if (fps.has_value()) {
@@ -152,7 +152,7 @@ TEST(Streaming, AttachedBackendPredictsEveryWindow) {
 TEST(Streaming, HeuristicBackendMirrorsAlgorithmOneEstimates) {
   const auto session = makeSession("meet", 9);
   int windows = 0;
-  StreamingIpUdpEstimator streaming(
+  StreamingEstimator streaming(
       optionsFor("meet"),
       [&](const StreamingOutput& out) {
         ++windows;
@@ -178,7 +178,7 @@ TEST(Streaming, AttachAfterFirstEmittedWindowThrows) {
   // window has been emitted; afterwards the swap would race the emission
   // point, so it throws instead.
   std::vector<StreamingOutput> outputs;
-  StreamingIpUdpEstimator streaming(
+  StreamingEstimator streaming(
       StreamingOptions{},
       [&](const StreamingOutput& out) { outputs.push_back(out); });
 
@@ -206,7 +206,7 @@ TEST(Streaming, AttachAfterFirstEmittedWindowThrows) {
 
 TEST(Streaming, EmptyStreamFinishIsNoop) {
   int calls = 0;
-  StreamingIpUdpEstimator streaming(
+  StreamingEstimator streaming(
       StreamingOptions{}, [&](const StreamingOutput&) { ++calls; });
   streaming.finish();
   EXPECT_EQ(calls, 0);
@@ -316,10 +316,10 @@ TEST(HeuristicParams, EffectiveLookbackClampsToOne) {
 TEST(Streaming, RejectsNonPositiveWindowAtConstruction) {
   StreamingOptions bad;
   bad.windowNs = 0;
-  EXPECT_THROW(StreamingIpUdpEstimator(bad, [](const StreamingOutput&) {}),
+  EXPECT_THROW(StreamingEstimator(bad, [](const StreamingOutput&) {}),
                std::invalid_argument);
   bad.windowNs = -common::kNanosPerSecond;
-  EXPECT_THROW(StreamingIpUdpEstimator(bad, [](const StreamingOutput&) {}),
+  EXPECT_THROW(StreamingEstimator(bad, [](const StreamingOutput&) {}),
                std::invalid_argument);
 }
 
@@ -546,7 +546,7 @@ netflow::PacketTrace randomStream(common::Rng& rng, bool rtx, int frames) {
 std::vector<StreamingOutput> runStreaming(const netflow::PacketTrace& trace,
                                           const StreamingOptions& options) {
   std::vector<StreamingOutput> outputs;
-  StreamingIpUdpEstimator streaming(
+  StreamingEstimator streaming(
       options, [&](const StreamingOutput& out) { outputs.push_back(out); });
   for (const auto& pkt : trace) streaming.onPacket(pkt);
   streaming.finish();
@@ -840,7 +840,7 @@ TEST(Streaming, LargerWindowSizes) {
   StreamingOptions options = optionsFor("webex");
   options.windowNs = 2 * common::kNanosPerSecond;
   std::vector<StreamingOutput> outputs;
-  StreamingIpUdpEstimator streaming(
+  StreamingEstimator streaming(
       options, [&](const StreamingOutput& out) { outputs.push_back(out); });
   for (const auto& pkt : session.packets) streaming.onPacket(pkt);
   streaming.finish();
