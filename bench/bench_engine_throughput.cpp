@@ -411,10 +411,11 @@ int main(int argc, char** argv) {
     micro.set("bit_exact", exact);
   }
 
-  // ---- SIMD kernel micro: the three vectorized hot-loop kernels against
-  // their scalar reference arm, same best-of-3 discipline as the model
-  // micro. Same entry points the hot paths call; only the pinned dispatch
-  // arm differs between the columns.
+  // ---- SIMD kernel micro: the two vectorized hot-loop kernels against
+  // their scalar reference arm, plus the blocked batched predict, same
+  // best-of-3 discipline as the model micro. Same entry points the hot
+  // paths call; only the pinned dispatch arm differs between the kernel
+  // columns.
   {
     const auto timeRate = [](std::size_t items, auto&& body) {
       body();  // warmup
@@ -478,22 +479,16 @@ int main(int argc, char** argv) {
     }
     const std::vector<ml::FeatureRow> spans(rows.begin(), rows.end());
     std::vector<double> out(kBatchRows);
-    const auto batchPass = [&](ml::FlattenedForest::BatchTraversal t) {
-      return [&, t] { flat.predictBatch(spans, out, t); };
-    };
-    const double rowsRps = timeRate(
-        kBatchRows, batchPass(ml::FlattenedForest::BatchTraversal::kRowWise));
-    const double blockedRps = timeRate(
-        kBatchRows, batchPass(ml::FlattenedForest::BatchTraversal::kBlocked));
+    const double blockedRps =
+        timeRate(kBatchRows, [&] { flat.predictBatch(spans, out); });
 
     std::printf(
         "simd kernel micro (%s): lookback scan %.2fx (%.0f vs %.0f elems/s), "
-        "window stats %.2fx (%.0f vs %.0f elems/s), blocked batch %.2fx "
-        "(%.0f vs %.0f rows/s)\n\n",
+        "window stats %.2fx (%.0f vs %.0f elems/s), blocked batch "
+        "%.0f rows/s\n\n",
         common::simd::toString(common::simd::activeLevel()),
         scanSimd / scanScalar, scanSimd, scanScalar,
-        statsSimd / statsScalar, statsSimd, statsScalar,
-        blockedRps / rowsRps, blockedRps, rowsRps);
+        statsSimd / statsScalar, statsSimd, statsScalar, blockedRps);
     auto& kernels = report.addScenario("kernel_micro");
     kernels.set("throughput",
                 throughputJson(
@@ -501,7 +496,6 @@ int main(int argc, char** argv) {
                      {"lookback_scan_simd_elems_per_s", scanSimd},
                      {"window_stats_scalar_elems_per_s", statsScalar},
                      {"window_stats_simd_elems_per_s", statsSimd},
-                     {"predict_rowwise_rows_per_s", rowsRps},
                      {"predict_blocked_rows_per_s", blockedRps}}));
   }
 

@@ -198,13 +198,11 @@ void BM_FiveNumberSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_FiveNumberSimd)->Arg(64)->Arg(1024);
 
-// --- Batched forest traversal: row-wise tree-major walk vs the blocked
-// layout that advances a lane of 8 rows one level per round. Bit-identical
-// outputs (tests/simd_kernels_test.cpp); this is the latency comparison
-// that picked the default.
+// --- Batched forest traversal: tree-major, advancing a lane of 8 rows one
+// level per round (bit-identical to per-row predict; see
+// tests/simd_kernels_test.cpp).
 
-void runPredictBatch(benchmark::State& state,
-                     ml::FlattenedForest::BatchTraversal traversal) {
+void BM_PredictBatchBlocked(benchmark::State& state) {
   static const auto forest =
       ml::FlattenedForest(engine::syntheticForest(40, 8, 30.0));
   const auto batch = static_cast<std::size_t>(state.range(0));
@@ -218,20 +216,11 @@ void runPredictBatch(benchmark::State& state,
   const std::vector<ml::FeatureRow> spans(rows.begin(), rows.end());
   std::vector<double> out(batch);
   for (auto _ : state) {
-    forest.predictBatch(spans, out, traversal);
+    forest.predictBatch(spans, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
-}
-
-void BM_PredictBatchRows(benchmark::State& state) {
-  runPredictBatch(state, ml::FlattenedForest::BatchTraversal::kRowWise);
-}
-BENCHMARK(BM_PredictBatchRows)->Arg(8)->Arg(64);
-
-void BM_PredictBatchBlocked(benchmark::State& state) {
-  runPredictBatch(state, ml::FlattenedForest::BatchTraversal::kBlocked);
 }
 BENCHMARK(BM_PredictBatchBlocked)->Arg(8)->Arg(64);
 

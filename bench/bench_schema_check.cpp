@@ -14,7 +14,8 @@
 // document (the kRtp hot path is benchmarked, not just the seed kIpUdp
 // one), that config.simd names the dispatch arm the kernels ran on
 // (scalar/sse2/avx2/neon), that a kernel_micro scenario carries both
-// columns of the three SIMD kernel comparisons, and that a skewed_flows
+// columns of the two SIMD kernel comparisons and the batched-predict rate,
+// and that a skewed_flows
 // scenario persists its sequential and engine columns digest-verified and
 // a non-empty per-shard "load" array with dispatched, processed and
 // backlog per shard.
@@ -198,8 +199,8 @@ struct Checker {
 
   /// Engine-bench SIMD contract: the config declares which dispatch arm the
   /// kernels ran on (so trajectory points are comparable), and the document
-  /// carries the kernel_micro scenario with both columns of all three
-  /// kernel comparisons.
+  /// carries the kernel_micro scenario with both columns of the two kernel
+  /// comparisons and the batched-predict rate.
   void checkSimd(const JsonValue& doc) {
     if (const auto* config = doc.find("config");
         config && config->isObject()) {
@@ -237,7 +238,7 @@ struct Checker {
     for (const char* key :
          {"lookback_scan_scalar_elems_per_s", "lookback_scan_simd_elems_per_s",
           "window_stats_scalar_elems_per_s", "window_stats_simd_elems_per_s",
-          "predict_rowwise_rows_per_s", "predict_blocked_rows_per_s"}) {
+          "predict_blocked_rows_per_s"}) {
       requireMember(*throughput, key, &JsonValue::isNumber, "a number",
                     where + ".throughput");
     }

@@ -32,9 +32,9 @@
 //                          exits 2 with usage.
 //     --model-dir DIR      warm-model registry root; per-VCA forests are
 //                          lazy-loaded from DIR/<vca>/<set>/<target>.fforest
-//                          or .forest at flow admission (kIpUdp also probes
-//                          the legacy DIR/<vca>/<target>.* layout; see
-//                          README "Feature sets")
+//                          or .forest at flow admission, <set> being the
+//                          --feature-set name (see README "Registry layout
+//                          on disk")
 //     --synth-model        instead of --model-dir: register a synthetic
 //                          teams frame-rate forest (sized to the selected
 //                          feature set) so the inference (and
@@ -83,7 +83,6 @@ struct Args {
   features::FeatureSet featureSet = features::FeatureSet::kIpUdp;
   std::string modelDir;
   bool synthModel = false;
-  bool quantized = false;
   std::vector<inference::QoeTarget> targets;
 };
 
@@ -93,8 +92,7 @@ void usage(const char* flag, const char* expected, const char* got) {
                "usage: pcap_monitor [capture.pcap] [--workers N] [--batch N] "
                "[--idle-timeout-s S] [--pace X] [--pump-s S] "
                "[--synth-flows K] [--feature-set rtp|ipudp] "
-               "[--model-dir DIR] [--synth-model] [--quantized] "
-               "[--target LIST]\n",
+               "[--model-dir DIR] [--synth-model] [--target LIST]\n",
                flag, expected, got);
 }
 
@@ -170,8 +168,6 @@ bool parseArgs(int argc, char** argv, Args& args) {
       args.modelDir = s;
     } else if (arg == "--synth-model") {
       args.synthModel = true;
-    } else if (arg == "--quantized") {
-      args.quantized = true;
     } else if (arg == "--target" && text(s)) {
       // Comma-separated target slugs.
       std::size_t start = 0;
@@ -280,9 +276,6 @@ int main(int argc, char** argv) {
   if (withModels) {
     inference::ModelRegistryOptions registryOptions;
     registryOptions.modelDir = args.modelDir;
-    // Opt-in quantized model layout (float32 thresholds, int16 features);
-    // lazily loaded and synthetic forests alike go through it.
-    registryOptions.quantizeModels = args.quantized;
     options.registry =
         std::make_shared<inference::ModelRegistry>(registryOptions);
     if (args.synthModel) {
@@ -294,20 +287,17 @@ int main(int argc, char** argv) {
       const std::string name =
           "forest:teams/" + std::string(features::toString(args.featureSet)) +
           "/frame_rate";
-      ml::FlattenedForest flat(engine::syntheticForest(10, 6, 30.0, width));
-      if (args.quantized) flat.applyLayout({.quantizeThresholds = true});
       options.registry->registerBackend(
           "teams", inference::QoeTarget::kFrameRate,
           std::make_shared<inference::ForestBackend>(
-              std::move(flat), inference::QoeTarget::kFrameRate, name,
+              engine::syntheticForest(10, 6, 30.0, width),
+              inference::QoeTarget::kFrameRate, name,
               features::featureCount(args.featureSet)),
           args.featureSet);
     }
     options.targets = args.targets;  // empty = all targets
-  } else if (!args.targets.empty() || args.quantized) {
-    std::fprintf(stderr,
-                 "--target and --quantized require --model-dir or "
-                 "--synth-model\n");
+  } else if (!args.targets.empty()) {
+    std::fprintf(stderr, "--target requires --model-dir or --synth-model\n");
     return 2;
   }
   engine::MultiFlowEngine eng(options);

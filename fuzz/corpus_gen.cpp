@@ -132,14 +132,13 @@ void genForest(const fs::path& dir) {
   ml::saveForest(stump, stumpText);
   writeFile(dir / "stump.forest", stumpText.str());
 
-  // Quantized layout: the optional `layout quantized` line between the task
-  // and features lines. The loader must re-quantize after reconstruction,
-  // so this seed drives both the marker parse and applyLayout.
-  ml::FlattenedForest quantized(forest);
-  quantized.applyLayout({.quantizeThresholds = true});
-  std::ostringstream quantizedText;
-  ml::saveFlattenedForest(quantized, quantizedText);
-  writeFile(dir / "quantized.fforest", quantizedText.str());
+  // A `layout quantized` line between the task and features lines, the
+  // marker of a deleted opt-in layout: the flat loader must reject it, where
+  // the reference still loads the full-precision payload after it.
+  std::string quantized = flat.str();
+  quantized.insert(quantized.find('\n', quantized.find("task ")) + 1,
+                   "layout quantized\n");
+  writeFile(dir / "quantized.fforest", quantized);
 
   // Regression: node 0 pointing at itself passed the pure range checks and
   // hung DecisionTree::predict / flattening forever. loadForest must

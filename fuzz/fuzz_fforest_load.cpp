@@ -7,11 +7,12 @@
 // `DecisionTree::predict` forever). Anything that loads must be safely
 // evaluable, and every input must load exactly as under the `istream >>`
 // reference loaders (tests/serialize_reference.hpp): same accept/reject
-// decision, same arrays bit for bit. Two rejections are stricter than the
-// reference, and only those skip the comparison: the count bound below,
-// and a node-tree file of zero trees, which the reference loads as an
-// unfitted forest whose `predict` throws std::logic_error
-// (`trees-zero.forest`).
+// decision, same arrays bit for bit. Three rejections are stricter than
+// the reference, and only those skip the comparison: the count bound below;
+// a node-tree file of zero trees, which the reference loads as an unfitted
+// forest whose `predict` throws std::logic_error (`trees-zero.forest`); and
+// a flat file with a `layout` line after the task, whose `layout quantized`
+// form the reference still loads (`quantized.fforest`).
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -45,6 +46,11 @@ bool rejectedAsTreeless(const std::runtime_error& e) {
   return std::string_view(e.what()) == "model load: no trees";
 }
 
+/// True when the flat loader rejected a `layout` line.
+bool rejectedLayoutLine(const std::runtime_error& e) {
+  return std::string_view(e.what()) == "model load: unsupported layout line";
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -74,7 +80,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const std::vector<double> row(flat.featureCount(), 0.5);
     (void)flat.predict(row);
   } catch (const std::runtime_error& e) {
-    flatBounded = rejectedByCountBound(e);
+    flatBounded = rejectedByCountBound(e) || rejectedLayoutLine(e);
   }
 
   // Differential leg: the one-pass parser makes the istream reference's

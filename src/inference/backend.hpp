@@ -95,10 +95,6 @@ class PredictionSet {
   std::uint8_t mask_ = 0;
 };
 
-/// One window's feature vector, borrowed from the caller for the duration
-/// of a call (same shape as `ml::FeatureRow`).
-using FeatureRow = std::span<const double>;
-
 /// Everything a backend may look at for one completed window. Plain doubles
 /// (not core types) keep this module below `core` in the dependency graph.
 struct WindowContext {
@@ -133,22 +129,14 @@ class InferenceBackend {
     predict(context.features, out);
   }
 
-  /// Batched entry point: fills `out[i]` from `rows[i]`. The default loops
-  /// over `predict`, so every backend is batch-callable; backends with a
-  /// vectorizable core (the flattened forests) override it to amortize the
-  /// per-window dispatch. Results must be bit-identical to calling
-  /// `predict` per row — the engine's determinism contract extends through
-  /// this path. Throws std::invalid_argument when the spans disagree in
-  /// length.
-  virtual void predictBatch(std::span<const FeatureRow> rows,
-                            std::span<PredictionSet> out) const {
-    checkBatchShape(rows.size(), out.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) predict(rows[i], out[i]);
-  }
-
-  /// Batched full-window entry point, the one the engine's per-shard
-  /// `InferenceBatcher` calls. Same contract as `predictBatch`, defaulting
-  /// to a loop over `predictWindow`.
+  /// The one batched entry point, called by the engine's per-shard
+  /// `InferenceBatcher`: fills `out[i]` from `contexts[i]`. The default
+  /// loops over `predictWindow`, so every backend is batch-callable;
+  /// backends with a vectorizable core (the flattened forests) override it
+  /// to amortize the per-window dispatch. Results must be bit-identical to
+  /// calling `predictWindow` per context — the engine's determinism
+  /// contract extends through this path. Throws std::invalid_argument when
+  /// the spans disagree in length.
   virtual void predictWindowBatch(std::span<const WindowContext> contexts,
                                   std::span<PredictionSet> out) const {
     checkBatchShape(contexts.size(), out.size());
@@ -160,12 +148,12 @@ class InferenceBackend {
   /// The targets this backend fills.
   virtual std::vector<QoeTarget> targets() const = 0;
 
-  /// Stable human-readable identity ("forest:teams/frame_rate",
+  /// Stable human-readable identity ("forest:teams/ipudp/frame_rate",
   /// "heuristic", "null"), surfaced in dashboards and per-flow stats.
   virtual const std::string& name() const = 0;
 
  protected:
-  /// Shared length guard for the batched entry points.
+  /// Length guard for the batched entry point and its overrides.
   static void checkBatchShape(std::size_t rows, std::size_t outs);
 };
 

@@ -89,28 +89,21 @@ void ForestBackend::predict(std::span<const double> features,
   out.set(target_, flat_.predict(features));
 }
 
-void ForestBackend::predictBatch(std::span<const FeatureRow> rows,
-                                 std::span<PredictionSet> out) const {
-  checkBatchShape(rows.size(), out.size());
-  if (rows.empty()) return;
-  // The backend is const and shared across workers, so reusable scratch
-  // lives per thread — the batcher flushes on the hot path and must not
-  // pay an allocation per flush in steady state.
-  thread_local std::vector<double> values;
-  values.resize(rows.size());
-  flat_.predictBatch(rows, values);
-  for (std::size_t i = 0; i < rows.size(); ++i) out[i].set(target_, values[i]);
-}
-
 void ForestBackend::predictWindowBatch(std::span<const WindowContext> contexts,
                                        std::span<PredictionSet> out) const {
   checkBatchShape(contexts.size(), out.size());
   if (contexts.empty()) return;
-  thread_local std::vector<FeatureRow> rows;
+  // The backend is const and shared across workers, so reusable scratch
+  // lives per thread — the batcher flushes on the hot path and must not
+  // pay an allocation per flush in steady state.
+  thread_local std::vector<ml::FeatureRow> rows;
+  thread_local std::vector<double> values;
   rows.clear();
   rows.reserve(contexts.size());
   for (const auto& context : contexts) rows.push_back(context.features);
-  predictBatch(rows, out);
+  values.resize(rows.size());
+  flat_.predictBatch(rows, values);
+  for (std::size_t i = 0; i < rows.size(); ++i) out[i].set(target_, values[i]);
 }
 
 HeuristicBackend::HeuristicBackend() : name_("heuristic") {}
@@ -138,11 +131,6 @@ NullBackend::NullBackend() : name_("null") {}
 
 void NullBackend::predict(std::span<const double>, PredictionSet&) const {}
 
-void NullBackend::predictBatch(std::span<const FeatureRow> rows,
-                               std::span<PredictionSet> out) const {
-  checkBatchShape(rows.size(), out.size());
-}
-
 void NullBackend::predictWindowBatch(std::span<const WindowContext> contexts,
                                      std::span<PredictionSet> out) const {
   checkBatchShape(contexts.size(), out.size());
@@ -169,18 +157,12 @@ void CompositeBackend::predictWindow(const WindowContext& context,
   for (const auto& child : children_) child->predictWindow(context, out);
 }
 
-void CompositeBackend::predictBatch(std::span<const FeatureRow> rows,
-                                    std::span<PredictionSet> out) const {
-  // Child-major (each child sweeps the whole batch) keeps one child's arena
-  // hot; per row the children still apply in order, so later children win
-  // on overlapping targets exactly like the scalar path.
-  checkBatchShape(rows.size(), out.size());
-  for (const auto& child : children_) child->predictBatch(rows, out);
-}
-
 void CompositeBackend::predictWindowBatch(
     std::span<const WindowContext> contexts,
     std::span<PredictionSet> out) const {
+  // Child-major (each child sweeps the whole batch) keeps one child's arena
+  // hot; per window the children still apply in order, so later children
+  // win on overlapping targets exactly like the scalar path.
   checkBatchShape(contexts.size(), out.size());
   for (const auto& child : children_) child->predictWindowBatch(contexts, out);
 }

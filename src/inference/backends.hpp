@@ -40,8 +40,6 @@ class ForestBackend final : public InferenceBackend {
 
   void predict(std::span<const double> features,
                PredictionSet& out) const override;
-  void predictBatch(std::span<const FeatureRow> rows,
-                    std::span<PredictionSet> out) const override;
   void predictWindowBatch(std::span<const WindowContext> contexts,
                           std::span<PredictionSet> out) const override;
   std::vector<QoeTarget> targets() const override { return {target_}; }
@@ -59,7 +57,7 @@ class ForestBackend final : public InferenceBackend {
 /// by the streaming estimator) into a `PredictionSet`, so heuristic and ML
 /// results flow through the same typed result path. From the feature vector
 /// alone it predicts nothing. No vectorizable core, so the inherited
-/// batched entry points (a loop over the scalar calls) are already optimal.
+/// batched entry point (a loop over `predictWindow`) is already optimal.
 class HeuristicBackend final : public InferenceBackend {
  public:
   HeuristicBackend();
@@ -83,8 +81,6 @@ class NullBackend final : public InferenceBackend {
 
   void predict(std::span<const double> features,
                PredictionSet& out) const override;
-  void predictBatch(std::span<const FeatureRow> rows,
-                    std::span<PredictionSet> out) const override;
   void predictWindowBatch(std::span<const WindowContext> contexts,
                           std::span<PredictionSet> out) const override;
   std::vector<QoeTarget> targets() const override { return {}; }
@@ -106,8 +102,6 @@ class CompositeBackend final : public InferenceBackend {
                PredictionSet& out) const override;
   void predictWindow(const WindowContext& context,
                      PredictionSet& out) const override;
-  void predictBatch(std::span<const FeatureRow> rows,
-                    std::span<PredictionSet> out) const override;
   void predictWindowBatch(std::span<const WindowContext> contexts,
                           std::span<PredictionSet> out) const override;
   std::vector<QoeTarget> targets() const override;

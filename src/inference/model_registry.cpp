@@ -58,55 +58,37 @@ std::shared_ptr<const InferenceBackend> ModelRegistry::lookupOrLoad(
     // model is a load failure (fallback served), not a mid-stream
     // "short feature row" throw or a silent misindex.
     const std::size_t rowWidth = features::featureCount(set);
-    // Flat layout first (what the hot path evaluates anyway), node-tree
-    // second (flattened on load). The probes fail independently: a
-    // malformed file is counted loudly but must neither take the monitor
-    // down nor suppress a loadable sibling in the other layout (e.g. a
-    // crash mid-write leaving a truncated .fforest beside a good .forest).
-    const auto probeStem = [&](const std::string& stem,
-                               const std::string& name) {
-      // The opt-in quantized layout is applied before the backend adopts
-      // the forest; a forest that cannot quantize (feature index past
-      // int16) is a load failure like any other malformed model.
+    // <modelDir>/<vca>/<set>/<target>: flat layout first (what the hot
+    // path evaluates anyway), node-tree second (flattened on load). The
+    // probes fail independently: a malformed file is counted loudly but
+    // must neither take the monitor down nor suppress a loadable sibling in
+    // the other layout (e.g. a crash mid-write leaving a truncated .fforest
+    // beside a good .forest).
+    const std::string setName(features::toString(set));
+    const std::string stem =
+        options_.modelDir + "/" + vca + "/" + setName + "/" + slug;
+    const std::string name = "forest:" + vca + "/" + setName + "/" + slug;
+    try {
+      if (auto flat = ml::tryLoadFlattenedForestFile(
+              stem + ml::kFlatForestFileExtension)) {
+        loaded = std::make_shared<ForestBackend>(std::move(*flat), target,
+                                                 name, rowWidth);
+        loads_.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (const std::exception&) {
+      loadFailures_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (!loaded) {
       try {
-        if (auto flat = ml::tryLoadFlattenedForestFile(
-                stem + ml::kFlatForestFileExtension)) {
-          if (options_.quantizeModels && !flat->quantized()) {
-            flat->applyLayout({.quantizeThresholds = true});
-          }
-          loaded = std::make_shared<ForestBackend>(std::move(*flat), target,
-                                                   name, rowWidth);
+        if (auto forest =
+                ml::tryLoadForestFile(stem + ml::kForestFileExtension)) {
+          loaded = std::make_shared<ForestBackend>(*forest, target, name,
+                                                   rowWidth);
           loads_.fetch_add(1, std::memory_order_relaxed);
         }
       } catch (const std::exception&) {
         loadFailures_.fetch_add(1, std::memory_order_relaxed);
       }
-      if (!loaded) {
-        try {
-          if (auto forest =
-                  ml::tryLoadForestFile(stem + ml::kForestFileExtension)) {
-            ml::FlattenedForest flat(*forest);
-            if (options_.quantizeModels) {
-              flat.applyLayout({.quantizeThresholds = true});
-            }
-            loaded = std::make_shared<ForestBackend>(std::move(flat), target,
-                                                     name, rowWidth);
-            loads_.fetch_add(1, std::memory_order_relaxed);
-          }
-        } catch (const std::exception&) {
-          loadFailures_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    };
-    // Feature-set layout: <modelDir>/<vca>/<set>/<target>.*
-    const std::string setName(features::toString(set));
-    probeStem(options_.modelDir + "/" + vca + "/" + setName + "/" + slug,
-              "forest:" + vca + "/" + setName + "/" + slug);
-    // Pre-feature-set trees stored IP/UDP models directly under the VCA
-    // directory; keep serving them for kIpUdp.
-    if (!loaded && set == features::FeatureSet::kIpUdp) {
-      probeStem(options_.modelDir + "/" + vca + "/" + slug,
-                "forest:" + vca + "/" + slug);
     }
     loadWallNs_.fetch_add(
         static_cast<std::uint64_t>(

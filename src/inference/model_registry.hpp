@@ -23,10 +23,8 @@
 /// a (vca, target, set) triple is requested — the layout is
 /// `<modelDir>/<vca>/<set>/<target>.fforest` (flattened, probed first) or
 /// `<target>.forest` (node tree, flattened on load; e.g.
-/// `models/teams/rtp/frame_rate.fforest`). For kIpUdp the pre-feature-set
-/// layout `<modelDir>/<vca>/<target>.*` is probed as a backward-compatible
-/// fallback, so existing model trees keep serving. Loaded forests are
-/// width-validated against the feature set's row
+/// `models/teams/rtp/frame_rate.fforest`); no other path is probed. Loaded
+/// forests are width-validated against the feature set's row
 /// (`features::featureCount(set)`); a mismatched model counts as a load
 /// failure and the fallback is served instead of misindexing mid-stream.
 /// Both positive and negative lookups are cached. Counting contract:
@@ -60,13 +58,6 @@ struct ModelRegistryOptions {
   /// (predict nothing); a `HeuristicBackend` here degrades missing models
   /// to Algorithm-1 estimates instead.
   std::shared_ptr<const InferenceBackend> fallback;
-  /// Opt-in (never on by default): apply the quantized FlattenedForest
-  /// layout — float32 thresholds, int16 split-feature indices — to every
-  /// lazily loaded model. Predictions then carry the documented quantization
-  /// tolerance (see ml::FlattenedForest::LayoutOptions) in exchange for a
-  /// smaller, faster arena. Models whose files carry the `layout quantized`
-  /// marker are quantized regardless of this flag.
-  bool quantizeModels = false;
 };
 
 class ModelRegistry {

@@ -41,25 +41,21 @@ int majorityClass(std::vector<int>& votes) {
   return best;
 }
 
-/// One tree level for one node ref: the shared step of every traversal
-/// below, generic over the full-precision (int32/double) and quantized
-/// (int16/float) column types. The float threshold widens back to double
-/// for the compare, so quantized divergence is confined to feature values
-/// inside the double->float rounding gap; NaN still goes right on both.
-template <typename Feat, typename Thresh>
-inline std::int32_t step(std::int32_t ref, FeatureRow x, const Feat* feature,
-                         const Thresh* threshold,
+/// One tree level for one node ref: the shared step of both traversals
+/// below. `v <= t ? left : right`, phrased as index math; the negated form
+/// (`v > t`) would send NaN features left where the node tree sends them
+/// right, so the comparison must match DecisionTree::predict.
+inline std::int32_t step(std::int32_t ref, FeatureRow x,
+                         const std::int32_t* feature, const double* threshold,
                          const std::int32_t* children) {
   const auto node = static_cast<std::size_t>(ref);
   const double v = x[static_cast<std::size_t>(feature[node])];
-  const auto t = static_cast<double>(threshold[node]);
-  return children[2 * node + (v <= t ? 0u : 1u)];
+  return children[2 * node + (v <= threshold[node] ? 0u : 1u)];
 }
 
-template <typename Feat, typename Thresh>
-double evalTreeImpl(std::int32_t ref, FeatureRow x, const Feat* feature,
-                    const Thresh* threshold, const std::int32_t* children,
-                    const double* leafValue) {
+double evalTreeImpl(std::int32_t ref, FeatureRow x,
+                    const std::int32_t* feature, const double* threshold,
+                    const std::int32_t* children, const double* leafValue) {
   while (ref >= 0) ref = step(ref, x, feature, threshold, children);
   return leafValue[leafIndex(ref)];
 }
@@ -71,9 +67,8 @@ constexpr std::size_t kRowBlock = 8;
 /// row takes one `step` per round, so their data-dependent arena/feature
 /// loads are all in flight at once instead of serialized down one row's
 /// path. Each row still walks exactly the path `evalTreeImpl` would.
-template <typename Feat, typename Thresh>
 void evalTreeBlock(std::int32_t root, const FeatureRow* rows, std::size_t m,
-                   const Feat* feature, const Thresh* threshold,
+                   const std::int32_t* feature, const double* threshold,
                    const std::int32_t* children, const double* leafValue,
                    double* treeVal) {
   std::int32_t ref[kRowBlock];
@@ -230,18 +225,6 @@ FlattenedForest FlattenedForest::fromParts(
   return flat;
 }
 
-double FlattenedForest::evalTree(std::int32_t ref, FeatureRow x) const {
-  // `v <= t ? left : right`, phrased as index math inside `step`. The
-  // negated form (`v > t`) would send NaN features left where the node
-  // tree sends them right — the comparison must match DecisionTree::predict.
-  if (quantized()) {
-    return evalTreeImpl(ref, x, featureI16_.data(), thresholdF32_.data(),
-                        children_.data(), leafValue_.data());
-  }
-  return evalTreeImpl(ref, x, feature_.data(), threshold_.data(),
-                      children_.data(), leafValue_.data());
-}
-
 double FlattenedForest::predict(FeatureRow x) const {
   if (roots_.empty()) {
     throw std::logic_error("FlattenedForest::predict before flatten");
@@ -249,30 +232,25 @@ double FlattenedForest::predict(FeatureRow x) const {
   if (x.size() < featureCount_) {
     throw std::invalid_argument("FlattenedForest::predict: short feature row");
   }
+  const auto evalTree = [&](std::int32_t root) {
+    return evalTreeImpl(root, x, feature_.data(), threshold_.data(),
+                        children_.data(), leafValue_.data());
+  };
   if (task_ == TreeTask::kRegression) {
     double sum = 0.0;
-    for (const auto root : roots_) sum += evalTree(root, x);
+    for (const auto root : roots_) sum += evalTree(root);
     return sum / static_cast<double>(roots_.size());
   }
   thread_local std::vector<int> votes;
   votes.clear();
   for (const auto root : roots_) {
-    votes.push_back(static_cast<int>(evalTree(root, x)));
+    votes.push_back(static_cast<int>(evalTree(root)));
   }
   return static_cast<double>(majorityClass(votes));
 }
 
 void FlattenedForest::predictBatch(std::span<const FeatureRow> rows,
                                    std::span<double> out) const {
-  // Blocked won the bench_perf_micro comparison (BM_PredictBatchRows vs
-  // BM_PredictBatchBlocked) and both arms are bit-identical, so it is the
-  // default.
-  predictBatch(rows, out, BatchTraversal::kBlocked);
-}
-
-void FlattenedForest::predictBatch(std::span<const FeatureRow> rows,
-                                   std::span<double> out,
-                                   BatchTraversal traversal) const {
   if (roots_.empty()) {
     throw std::logic_error("FlattenedForest::predictBatch before flatten");
   }
@@ -288,32 +266,21 @@ void FlattenedForest::predictBatch(std::span<const FeatureRow> rows,
   }
 
   const std::size_t n = rows.size();
-  // One tree's leaf values for a block of rows; whichever traversal filled
-  // it, row r's contribution is added in tree order, so the accumulated
-  // regression mean (and the vote sequence below) is bit-identical to the
-  // single-row path.
+  // One tree's leaf values for a block of rows; row r's contribution is
+  // added in tree order, so the accumulated regression mean (and the vote
+  // sequence below) is bit-identical to the single-row path.
   double treeVal[kRowBlock];
   const auto evalBlock = [&](std::int32_t root, std::size_t r0,
                              std::size_t m) {
-    if (quantized()) {
-      evalTreeBlock(root, rows.data() + r0, m, featureI16_.data(),
-                    thresholdF32_.data(), children_.data(), leafValue_.data(),
-                    treeVal);
-    } else {
-      evalTreeBlock(root, rows.data() + r0, m, feature_.data(),
-                    threshold_.data(), children_.data(), leafValue_.data(),
-                    treeVal);
-    }
+    evalTreeBlock(root, rows.data() + r0, m, feature_.data(),
+                  threshold_.data(), children_.data(), leafValue_.data(),
+                  treeVal);
   };
 
   if (task_ == TreeTask::kRegression) {
     // Tree-major: one tree's arena segment stays hot across the whole batch.
     std::fill(out.begin(), out.end(), 0.0);
     for (const auto root : roots_) {
-      if (traversal == BatchTraversal::kRowWise) {
-        for (std::size_t r = 0; r < n; ++r) out[r] += evalTree(root, rows[r]);
-        continue;
-      }
       for (std::size_t r0 = 0; r0 < n; r0 += kRowBlock) {
         const std::size_t m = std::min(kRowBlock, n - r0);
         evalBlock(root, r0, m);
@@ -331,12 +298,6 @@ void FlattenedForest::predictBatch(std::span<const FeatureRow> rows,
   thread_local std::vector<int> treeOut;  // tree-major, [t * n + r]
   treeOut.resize(trees * n);
   for (std::size_t t = 0; t < trees; ++t) {
-    if (traversal == BatchTraversal::kRowWise) {
-      for (std::size_t r = 0; r < n; ++r) {
-        treeOut[t * n + r] = static_cast<int>(evalTree(roots_[t], rows[r]));
-      }
-      continue;
-    }
     for (std::size_t r0 = 0; r0 < n; r0 += kRowBlock) {
       const std::size_t m = std::min(kRowBlock, n - r0);
       evalBlock(roots_[t], r0, m);
@@ -350,100 +311,6 @@ void FlattenedForest::predictBatch(std::span<const FeatureRow> rows,
     votes.clear();
     for (std::size_t t = 0; t < trees; ++t) votes.push_back(treeOut[t * n + r]);
     out[r] = static_cast<double>(majorityClass(votes));
-  }
-}
-
-void FlattenedForest::applyLayout(const LayoutOptions& options) {
-  if (roots_.empty()) {
-    throw std::logic_error("FlattenedForest::applyLayout before flatten");
-  }
-  if (options.breadthBlockOrder) reorderBreadthBlocks();
-  if (options.quantizeThresholds) quantizeThresholdArrays();
-}
-
-void FlattenedForest::reorderBreadthBlocks() {
-  const std::size_t internals = feature_.size();
-  if (internals == 0) return;
-
-  // Top kBlockLevels levels of each (sub)tree become one contiguous block
-  // in BFS order — up to 7 nodes, about one cache line of thresholds — and
-  // the subtrees hanging below a block follow depth-first. fromParts proved
-  // exactly-once reachability, so this permutation is total.
-  constexpr int kBlockLevels = 3;
-  std::vector<std::int32_t> newIndex(internals, -1);
-  std::int32_t counter = 0;
-
-  std::vector<std::int32_t> frontier;   // subtree roots awaiting a block
-  std::vector<std::int32_t> blockRefs;  // BFS queue within one block
-  for (auto it = roots_.rbegin(); it != roots_.rend(); ++it) {
-    if (*it >= 0) frontier.push_back(*it);
-  }
-  while (!frontier.empty()) {
-    const std::int32_t top = frontier.back();
-    frontier.pop_back();
-    blockRefs.clear();
-    blockRefs.push_back(top);
-    int levels = 0;
-    std::size_t levelBegin = 0;
-    while (levels < kBlockLevels) {
-      const std::size_t levelEnd = blockRefs.size();
-      for (std::size_t i = levelBegin; i < levelEnd; ++i) {
-        const auto node = static_cast<std::size_t>(blockRefs[i]);
-        newIndex[node] = counter++;
-        if (levels + 1 == kBlockLevels) continue;  // children leave the block
-        for (int side = 0; side < 2; ++side) {
-          const std::int32_t child = children_[2 * node + side];
-          if (child >= 0) blockRefs.push_back(child);
-        }
-      }
-      if (levels + 1 == kBlockLevels) {
-        // The last in-block level's internal children seed new blocks, right
-        // child first so the left subtree's block lands adjacent.
-        for (std::size_t i = levelEnd; i-- > levelBegin;) {
-          const auto node = static_cast<std::size_t>(blockRefs[i]);
-          for (int side = 1; side >= 0; --side) {
-            const std::int32_t child = children_[2 * node + side];
-            if (child >= 0) frontier.push_back(child);
-          }
-        }
-      }
-      if (levelEnd == blockRefs.size()) break;  // block bottomed out early
-      levelBegin = levelEnd;
-      ++levels;
-    }
-  }
-
-  const auto remap = [&](std::int32_t ref) {
-    return ref >= 0 ? newIndex[static_cast<std::size_t>(ref)] : ref;
-  };
-  std::vector<std::int32_t> feature(internals);
-  std::vector<double> threshold(internals);
-  std::vector<std::int32_t> children(2 * internals);
-  for (std::size_t i = 0; i < internals; ++i) {
-    const auto to = static_cast<std::size_t>(newIndex[i]);
-    feature[to] = feature_[i];
-    threshold[to] = threshold_[i];
-    children[2 * to] = remap(children_[2 * i]);
-    children[2 * to + 1] = remap(children_[2 * i + 1]);
-  }
-  for (auto& root : roots_) root = remap(root);
-  feature_ = std::move(feature);
-  threshold_ = std::move(threshold);
-  children_ = std::move(children);
-}
-
-void FlattenedForest::quantizeThresholdArrays() {
-  const std::size_t internals = feature_.size();
-  featureI16_.resize(internals);
-  thresholdF32_.resize(internals);
-  for (std::size_t i = 0; i < internals; ++i) {
-    if (feature_[i] > INT16_MAX) {
-      featureI16_.clear();
-      thresholdF32_.clear();
-      invalid("split feature index exceeds the int16 quantized layout");
-    }
-    featureI16_[i] = static_cast<std::int16_t>(feature_[i]);
-    thresholdF32_[i] = static_cast<float>(threshold_[i]);
   }
 }
 

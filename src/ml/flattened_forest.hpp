@@ -44,30 +44,6 @@ using FeatureRow = std::span<const double>;
 
 class FlattenedForest {
  public:
-  /// Opt-in layout transforms applied on top of an already-built arena via
-  /// `applyLayout`. Neither is ever on by default.
-  struct LayoutOptions {
-    /// Re-derive `float32` thresholds and `int16` split-feature indices and
-    /// evaluate against those. Predictions may differ from the full-precision
-    /// arena only for feature values falling inside a threshold's
-    /// double->float rounding gap (at most 1 float ulp of the threshold, so
-    /// regression outputs move by at most (max leaf - min leaf) and
-    /// classification can flip only on such knife-edge rows — the tolerance
-    /// contract tested by tests/simd_kernels_test.cpp). Throws
-    /// std::invalid_argument when a split feature index exceeds int16.
-    bool quantizeThresholds = false;
-    /// Renumber internal nodes into breadth-limited blocks: each subtree's
-    /// top levels become one contiguous block (about a cache line of
-    /// thresholds), children blocks follow depth-first. A pure index
-    /// permutation — predictions stay bit-identical.
-    bool breadthBlockOrder = false;
-  };
-
-  /// How `predictBatch` walks the arena. Outputs are bit-identical either
-  /// way; kBlocked advances a lane of rows one tree level per round so the
-  /// data-dependent loads of ~8 rows overlap (memory-level parallelism).
-  enum class BatchTraversal { kRowWise, kBlocked };
-
   FlattenedForest() = default;
 
   /// Flattens a trained forest. Throws std::invalid_argument when the forest
@@ -98,24 +74,13 @@ class FlattenedForest {
   /// `RandomForest::predict` on the source forest.
   double predict(FeatureRow x) const;
 
-  /// Batched predict: `out[i]` receives the prediction for `rows[i]`.
-  /// Evaluates tree-major over the whole batch (blocked traversal — the
-  /// bench_perf_micro winner). Throws std::invalid_argument when the spans
-  /// disagree in length.
+  /// Batched predict: `out[i]` receives the prediction for `rows[i]`,
+  /// bit-identical to `predict(rows[i])`. Evaluates tree-major over the
+  /// whole batch, advancing a lane of up to 8 rows one tree level per round
+  /// so their data-dependent loads overlap. Throws std::invalid_argument
+  /// when the spans disagree in length.
   void predictBatch(std::span<const FeatureRow> rows,
                     std::span<double> out) const;
-
-  /// Same, with the traversal order pinned (bench comparisons and the
-  /// equivalence suite exercise both arms explicitly).
-  void predictBatch(std::span<const FeatureRow> rows, std::span<double> out,
-                    BatchTraversal traversal) const;
-
-  /// Applies the opt-in layout transforms in place (reorder first, then
-  /// quantize). Throws std::logic_error before flatten.
-  void applyLayout(const LayoutOptions& options);
-
-  /// True once applyLayout installed the float32/int16 arrays.
-  bool quantized() const { return !thresholdF32_.empty(); }
 
   /// Raw array access for persistence.
   const std::vector<std::int32_t>& roots() const { return roots_; }
@@ -131,10 +96,6 @@ class FlattenedForest {
   const std::vector<double>& leafValue() const { return leafValue_; }
 
  private:
-  double evalTree(std::int32_t ref, FeatureRow x) const;
-  void reorderBreadthBlocks();
-  void quantizeThresholdArrays();
-
   TreeTask task_ = TreeTask::kRegression;
   std::size_t featureCount_ = 0;
   std::vector<std::int32_t> roots_;      // one child-encoded ref per tree
@@ -142,10 +103,6 @@ class FlattenedForest {
   std::vector<double> threshold_;        // per internal node
   std::vector<std::int32_t> children_;   // 2 per internal node, interleaved
   std::vector<double> leafValue_;        // per leaf
-  // Quantized mirrors of feature_/threshold_, empty until applyLayout
-  // installs them; eval reads these instead when non-empty.
-  std::vector<std::int16_t> featureI16_;
-  std::vector<float> thresholdF32_;
 };
 
 }  // namespace vcaqoe::ml

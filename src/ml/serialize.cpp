@@ -368,10 +368,6 @@ void saveFlattenedForest(const FlattenedForest& forest, std::ostream& out) {
       << (forest.task() == TreeTask::kRegression ? "regression"
                                                  : "classification")
       << '\n';
-  // The quantized variant keeps the full-precision payload (thresholds are
-  // written as doubles either way); the marker only records that eval
-  // should re-quantize after load.
-  if (forest.quantized()) out << "layout quantized\n";
   out << std::setprecision(17);
   out << "features " << forest.featureCount() << '\n';
 
@@ -404,21 +400,12 @@ FlattenedForest parseFlattenedForest(std::string_view text) {
   TokenReader in(text);
   const TreeTask task = readHeader(in, "vcaqoe-forest-flat");
 
-  // Optional `layout quantized` marker (written by saveFlattenedForest for
-  // a forest whose quantized layout was applied); anything else here must
-  // be the features line.
-  bool quantizedLayout = false;
+  // The format has one layout. Files saved with the old opt-in quantized
+  // layout carry a `layout` line here; name it in the rejection instead of
+  // reporting a missing features line.
   std::string_view key;
   if (!in.word(key)) malformed("missing features");
-  if (key == "layout") {
-    std::string_view layoutName;
-    if (!in.word(layoutName)) malformed("truncated layout");
-    if (layoutName != "quantized") {
-      malformed("unknown layout '" + std::string(layoutName) + "'");
-    }
-    quantizedLayout = true;
-    if (!in.word(key)) malformed("missing features");
-  }
+  if (key == "layout") malformed("unsupported layout line");
   std::size_t featureCount = 0;
   if (!in.number(featureCount) || key != "features") {
     malformed("missing features");
@@ -467,15 +454,10 @@ FlattenedForest parseFlattenedForest(std::string_view text) {
   rejectTrailingPayload(in);
 
   try {
-    FlattenedForest flat = FlattenedForest::fromParts(
+    return FlattenedForest::fromParts(
         task, featureCount, std::move(roots), std::move(feature),
         std::move(threshold), std::move(left), std::move(right),
         std::move(leafValue));
-    // Re-deriving the int16/float32 arrays can itself reject the file (a
-    // split feature index past int16), which is a malformed model, not a
-    // programming error.
-    if (quantizedLayout) flat.applyLayout({.quantizeThresholds = true});
-    return flat;
   } catch (const std::invalid_argument& e) {
     malformed(e.what());
   }

@@ -19,7 +19,7 @@ namespace vcaqoe::ml {
 inline constexpr int kModelFormatVersion = 1;
 
 /// Canonical extension of serialized forests; the inference ModelRegistry
-/// looks for `<modelDir>/<vca>/<target>.forest`.
+/// looks for `<modelDir>/<vca>/<set>/<target>.forest`.
 inline constexpr const char* kForestFileExtension = ".forest";
 
 /// Serializes a trained forest. Throws std::logic_error if untrained.
@@ -49,7 +49,8 @@ void saveFlattenedForestFile(const FlattenedForest& forest,
 
 /// Deserializes a flattened forest. Throws std::runtime_error on malformed
 /// input, version mismatch, declared counts that disagree with the payload,
-/// or trailing payload past the declared counts.
+/// trailing payload past the declared counts, or a `layout` line after the
+/// task ("model load: unsupported layout line").
 FlattenedForest loadFlattenedForest(std::istream& in);
 FlattenedForest loadFlattenedForestFile(const std::string& path);
 

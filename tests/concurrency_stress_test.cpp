@@ -148,9 +148,10 @@ class ModelRegistryStress : public ::testing::Test {
     std::filesystem::remove_all(dir_, ec);
   }
 
+  /// A flat model at `<vca>/ipudp/<target>.fforest`.
   void saveModel(const std::string& vca, inference::QoeTarget target,
                  double constant) {
-    const auto vcaDir = std::filesystem::path(dir_) / vca;
+    const auto vcaDir = std::filesystem::path(dir_) / vca / "ipudp";
     std::filesystem::create_directories(vcaDir);
     ml::saveFlattenedForestFile(
         ml::FlattenedForest(syntheticForest(1, 0, constant)),

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -175,26 +176,22 @@ TEST(Backend, ForestBackendBatchedMatchesScalarBitExactly) {
     for (auto& v : row) v = rng.uniform(0.0, 1100.0);
     rows.push_back(std::move(row));
   }
-  const std::vector<FeatureRow> views(rows.begin(), rows.end());
-  std::vector<PredictionSet> batched(views.size());
-  backend.predictBatch(views, batched);
-
-  std::vector<WindowContext> contexts(views.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    contexts[i].features = views[i];
+  std::vector<WindowContext> contexts(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    contexts[i].features = rows[i];
   }
-  std::vector<PredictionSet> windowBatched(views.size());
+  std::vector<PredictionSet> windowBatched(contexts.size());
   backend.predictWindowBatch(contexts, windowBatched);
 
-  for (std::size_t i = 0; i < views.size(); ++i) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     PredictionSet scalar;
-    backend.predict(views[i], scalar);
-    EXPECT_TRUE(batched[i] == scalar) << "row " << i;
+    backend.predict(rows[i], scalar);
     EXPECT_TRUE(windowBatched[i] == scalar) << "row " << i;
   }
 
-  std::vector<PredictionSet> wrong(views.size() + 1);
-  EXPECT_THROW(backend.predictBatch(views, wrong), std::invalid_argument);
+  std::vector<PredictionSet> wrong(contexts.size() + 1);
+  EXPECT_THROW(backend.predictWindowBatch(contexts, wrong),
+               std::invalid_argument);
 }
 
 TEST(Backend, CompositeBatchedMatchesScalarBitExactly) {
@@ -237,15 +234,6 @@ TEST(Backend, CompositeBatchedMatchesScalarBitExactly) {
               std::optional<double>(15.0));
     EXPECT_EQ(batched[i].get(QoeTarget::kBitrateKbps),
               std::optional<double>(900.0));
-  }
-
-  const std::vector<FeatureRow> views(rows.begin(), rows.end());
-  std::vector<PredictionSet> featureBatched(views.size());
-  composite.predictBatch(views, featureBatched);
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    PredictionSet scalar;
-    composite.predict(views[i], scalar);
-    EXPECT_TRUE(featureBatched[i] == scalar) << "row " << i;
   }
 }
 
@@ -352,11 +340,24 @@ class ModelRegistryDisk : public ::testing::Test {
     std::filesystem::remove_all(dir_, ec);
   }
 
+  /// A node-tree model at `<vca>/ipudp/<target>.forest`.
   void saveModel(const std::string& vca, QoeTarget target, double constant) {
-    const auto vcaDir = std::filesystem::path(dir_) / vca;
-    std::filesystem::create_directories(vcaDir);
+    saveForestIn(std::filesystem::path(dir_) / vca / "ipudp", target,
+                 constant);
+  }
+
+  /// The same model at the set-less `<vca>/<target>.forest`, a path the
+  /// registry does not probe.
+  void saveSetLessModel(const std::string& vca, QoeTarget target,
+                        double constant) {
+    saveForestIn(std::filesystem::path(dir_) / vca, target, constant);
+  }
+
+  static void saveForestIn(const std::filesystem::path& dir, QoeTarget target,
+                           double constant) {
+    std::filesystem::create_directories(dir);
     const auto path =
-        vcaDir / (std::string(toString(target)) + ml::kForestFileExtension);
+        dir / (std::string(toString(target)) + ml::kForestFileExtension);
     ml::saveForestFile(engine::syntheticForest(1, 0, constant), path.string());
   }
 
@@ -386,7 +387,7 @@ TEST_F(ModelRegistryDisk, LazyLoadsFromRegistryLayout) {
   ModelRegistry registry(options);
 
   const auto loaded = registry.resolve("teams", QoeTarget::kFrameRate);
-  EXPECT_EQ(loaded->name(), "forest:teams/frame_rate");
+  EXPECT_EQ(loaded->name(), "forest:teams/ipudp/frame_rate");
   PredictionSet out;
   loaded->predict(std::vector<double>(14, 0.0), out);
   EXPECT_EQ(out.get(QoeTarget::kFrameRate), std::optional<double>(21.0));
@@ -436,7 +437,7 @@ TEST_F(ModelRegistryDisk, CountsLoadWallTime) {
 TEST_F(ModelRegistryDisk, LazyLoadsFlattenedLayoutFirst) {
   // A deployed `.fforest` is served directly (no node tree on disk at
   // all), and when both layouts exist the flat one wins the probe.
-  const auto teamsDir = std::filesystem::path(dir_) / "teams";
+  const auto teamsDir = std::filesystem::path(dir_) / "teams" / "ipudp";
   std::filesystem::create_directories(teamsDir);
   ml::saveFlattenedForestFile(
       ml::FlattenedForest(engine::syntheticForest(1, 0, 33.0)),
@@ -449,7 +450,7 @@ TEST_F(ModelRegistryDisk, LazyLoadsFlattenedLayoutFirst) {
   options.modelDir = dir_;
   ModelRegistry registry(options);
   const auto loaded = registry.resolve("teams", QoeTarget::kFrameRate);
-  EXPECT_EQ(loaded->name(), "forest:teams/frame_rate");
+  EXPECT_EQ(loaded->name(), "forest:teams/ipudp/frame_rate");
   PredictionSet out;
   loaded->predict(std::vector<double>(14, 0.0), out);
   EXPECT_EQ(out.get(QoeTarget::kFrameRate), std::optional<double>(33.0));
@@ -458,7 +459,7 @@ TEST_F(ModelRegistryDisk, LazyLoadsFlattenedLayoutFirst) {
   // A malformed flat file is loud (counted) but does not suppress a
   // loadable node-tree sibling — a crash mid-write of the .fforest must
   // not take a still-good deployed model out of service.
-  const auto meetDir = std::filesystem::path(dir_) / "meet";
+  const auto meetDir = std::filesystem::path(dir_) / "meet" / "ipudp";
   std::filesystem::create_directories(meetDir);
   {
     std::ofstream bad(meetDir / "frame_rate.fforest");
@@ -473,10 +474,34 @@ TEST_F(ModelRegistryDisk, LazyLoadsFlattenedLayoutFirst) {
             std::optional<double>(21.0));
   EXPECT_EQ(registry.stats().loadFailures, 1u);
   EXPECT_EQ(registry.stats().loads, 2u);
+
+  // An otherwise valid flat file with a `layout` line after the task is
+  // malformed in the same way.
+  const auto webexDir = std::filesystem::path(dir_) / "webex" / "ipudp";
+  std::filesystem::create_directories(webexDir);
+  std::ostringstream flat;
+  ml::saveFlattenedForest(
+      ml::FlattenedForest(engine::syntheticForest(1, 0, 33.0)), flat);
+  std::string marked = flat.str();
+  marked.insert(marked.find('\n', marked.find("task ")) + 1,
+                "layout quantized\n");
+  {
+    std::ofstream bad(webexDir / "frame_rate.fforest");
+    bad << marked;
+  }
+  saveModel("webex", QoeTarget::kFrameRate, 9.0);
+  const auto unmarked = registry.resolve("webex", QoeTarget::kFrameRate);
+  EXPECT_NE(unmarked, registry.fallback());
+  PredictionSet fromUnmarked;
+  unmarked->predict(std::vector<double>(14, 0.0), fromUnmarked);
+  EXPECT_EQ(fromUnmarked.get(QoeTarget::kFrameRate),
+            std::optional<double>(9.0));
+  EXPECT_EQ(registry.stats().loadFailures, 2u);
+  EXPECT_EQ(registry.stats().loads, 3u);
 }
 
 TEST_F(ModelRegistryDisk, MalformedModelFileCountsLoadFailure) {
-  const auto vcaDir = std::filesystem::path(dir_) / "meet";
+  const auto vcaDir = std::filesystem::path(dir_) / "meet" / "ipudp";
   std::filesystem::create_directories(vcaDir);
   {
     std::ofstream bad(vcaDir / "frame_rate.forest");
@@ -519,8 +544,8 @@ TEST_F(ModelRegistryDisk, ConcurrentResolveFromManyWorkers) {
         const auto meet = registry.resolve("meet", QoeTarget::kFrameRate);
         const auto teams = registry.resolve("teams", QoeTarget::kFrameRate);
         const auto webex = registry.resolve("webex", QoeTarget::kFrameRate);
-        if (meet->name() != "forest:meet/frame_rate" ||
-            teams->name() != "forest:teams/frame_rate" ||
+        if (meet->name() != "forest:meet/ipudp/frame_rate" ||
+            teams->name() != "forest:teams/ipudp/frame_rate" ||
             webex != registry.fallback()) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
@@ -541,11 +566,9 @@ TEST_F(ModelRegistryDisk, ConcurrentResolveFromManyWorkers) {
 }
 
 TEST_F(ModelRegistryDisk, FeatureSetLayoutAndLegacyCompatibility) {
-  // A 24-wide kRtp model in the set-keyed layout and a legacy flat-layout
-  // kIpUdp model for the same (vca, target).
+  // A 24-wide kRtp model in the set-keyed layout.
   saveSetModel("teams", features::FeatureSet::kRtp, QoeTarget::kFrameRate,
                24.0, 24);
-  saveModel("teams", QoeTarget::kFrameRate, 14.0);
 
   ModelRegistryOptions options;
   options.modelDir = dir_;
@@ -558,18 +581,11 @@ TEST_F(ModelRegistryDisk, FeatureSetLayoutAndLegacyCompatibility) {
   rtp->predict(std::vector<double>(24, 0.0), out);
   EXPECT_EQ(out.get(QoeTarget::kFrameRate), std::optional<double>(24.0));
 
-  // With no ipudp/ directory the kIpUdp probe falls back to the legacy
-  // layout — pre-refactor model directories keep serving unchanged.
-  const auto ipudp = registry.resolve("teams", QoeTarget::kFrameRate);
-  EXPECT_EQ(ipudp->name(), "forest:teams/frame_rate");
-  PredictionSet legacy;
-  ipudp->predict(std::vector<double>(14, 0.0), legacy);
-  EXPECT_EQ(legacy.get(QoeTarget::kFrameRate), std::optional<double>(14.0));
-
-  // When both layouts exist, the set-keyed directory wins for kIpUdp too.
+  // When a legacy set-less file sits beside the set-keyed directory, the
+  // set-keyed model serves kIpUdp.
   saveSetModel("meet", features::FeatureSet::kIpUdp, QoeTarget::kFrameRate,
                31.0, 14);
-  saveModel("meet", QoeTarget::kFrameRate, 11.0);
+  saveSetLessModel("meet", QoeTarget::kFrameRate, 11.0);
   const auto meet = registry.resolve("meet", QoeTarget::kFrameRate);
   EXPECT_EQ(meet->name(), "forest:meet/ipudp/frame_rate");
   PredictionSet preferred;
@@ -579,11 +595,32 @@ TEST_F(ModelRegistryDisk, FeatureSetLayoutAndLegacyCompatibility) {
 
   // The legacy layout is never probed for kRtp: a 14-wide legacy model
   // cannot leak into the 24-wide row path.
-  saveModel("webex", QoeTarget::kFrameRate, 9.0);
+  saveSetLessModel("webex", QoeTarget::kFrameRate, 9.0);
   EXPECT_EQ(registry.resolve("webex", QoeTarget::kFrameRate,
                              features::FeatureSet::kRtp),
             registry.fallback());
   EXPECT_EQ(registry.stats().loadFailures, 0u);
+}
+
+TEST_F(ModelRegistryDisk, SetLessLayoutIsNotServed) {
+  // A model only at the set-less `<vca>/<target>.forest` is found for
+  // neither feature set: each resolution serves the fallback and counts a
+  // miss, and the file is neither loaded nor counted as a failure.
+  saveSetLessModel("teams", QoeTarget::kFrameRate, 14.0);
+
+  ModelRegistryOptions options;
+  options.modelDir = dir_;
+  ModelRegistry registry(options);
+  EXPECT_EQ(registry.resolve("teams", QoeTarget::kFrameRate),
+            registry.fallback());
+  EXPECT_EQ(registry.resolve("teams", QoeTarget::kFrameRate,
+                             features::FeatureSet::kRtp),
+            registry.fallback());
+  const auto stats = registry.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.loads, 0u);
+  EXPECT_EQ(stats.loadFailures, 0u);
 }
 
 TEST_F(ModelRegistryDisk, MismatchedWidthModelFailsLoadAndServesFallback) {
@@ -918,7 +955,7 @@ TEST_F(ModelRegistryDisk, CountersAcrossEvictionAndReadmissionDeltas) {
   const auto meetId = eng.flows().find(meetKey);
   ASSERT_TRUE(meetId.has_value());
   EXPECT_EQ(*meetId, 2u);
-  EXPECT_EQ(eng.flowStats()[2].backendName(), "forest:meet/frame_rate");
+  EXPECT_EQ(eng.flowStats()[2].backendName(), "forest:meet/ipudp/frame_rate");
   (void)eng.finish();
 }
 

@@ -508,6 +508,37 @@ TEST(Serialize, RejectsZeroTrees) {
   }
 }
 
+TEST(Serialize, RejectsLayoutLine) {
+  // The flat format has one layout. A `layout` line after the task (once
+  // the marker of an opt-in quantized layout) is malformed whatever name
+  // follows it, and the message names the line.
+  const Dataset d = linearDataset(200, 73);
+  RandomForest forest;
+  ForestOptions options;
+  options.numTrees = 3;
+  forest.fit(d, TreeTask::kRegression, options, 23);
+  std::ostringstream saved;
+  saveFlattenedForest(FlattenedForest(forest), saved);
+  const std::string text = saved.str();
+  // The saver writes no layout line, and its output loads.
+  EXPECT_EQ(text.find("layout"), std::string::npos);
+  std::stringstream good(text);
+  EXPECT_EQ(loadFlattenedForest(good).treeCount(), 3u);
+
+  const auto afterTask = text.find('\n', text.find("task ")) + 1;
+  for (const char* line : {"layout quantized\n", "layout vanblocks\n"}) {
+    std::string bad = text;
+    bad.insert(afterTask, line);
+    std::stringstream in(bad);
+    try {
+      (void)loadFlattenedForest(in);
+      ADD_FAILURE() << "loaded with " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "model load: unsupported layout line") << line;
+    }
+  }
+}
+
 TEST(Serialize, DeclaredCountPastBytesLeftFailsBeforeAllocating) {
   // Each count is bounded by what is left of the file (two bytes per
   // token at least) before its arrays are sized: these files declare 2^24
@@ -548,20 +579,15 @@ TEST(Serialize, DeclaredCountPastBytesLeftFailsBeforeAllocating) {
 
 // ------------------------------------- one-pass parser vs istream reference
 
-/// Saver output of `forest` in every format: node tree, flat, quantized.
+/// Saver output of `forest` in both formats: node tree and flat.
 std::vector<std::string> savedForms(const RandomForest& forest) {
   std::vector<std::string> forms;
   std::ostringstream tree;
   saveForest(forest, tree);
   forms.push_back(tree.str());
-  FlattenedForest flat(forest);
   std::ostringstream flatText;
-  saveFlattenedForest(flat, flatText);
+  saveFlattenedForest(FlattenedForest(forest), flatText);
   forms.push_back(flatText.str());
-  flat.applyLayout({.quantizeThresholds = true});
-  std::ostringstream quantized;
-  saveFlattenedForest(flat, quantized);
-  forms.push_back(quantized.str());
   return forms;
 }
 
@@ -625,9 +651,10 @@ TEST(SerializeDifferential, RandomBitPatternsLoadAsTheReference) {
 }
 
 TEST(SerializeDifferential, ZeroTreesIsTheListedStricterRejection) {
-  // Besides the count bound, the one input class the parser rejects and
-  // the reference loads: a node-tree file of zero trees, which the
-  // reference returns unfitted. Everything else must still agree.
+  // Besides the count bound and the flat `layout` line (below), the one
+  // input class the parser rejects and the reference loads: a node-tree
+  // file of zero trees, which the reference returns unfitted. Everything
+  // else must still agree.
   const std::string treeless =
       "vcaqoe-forest 1\ntask regression\nfeatures 0\nimportance 0\n"
       "trees 0\n";
@@ -639,6 +666,28 @@ TEST(SerializeDifferential, ZeroTreesIsTheListedStricterRejection) {
             "rejected what the reference accepts");
   // With trailing payload both reject, so the loaders agree again.
   EXPECT_EQ(reference::treeDifference(treeless + "tree 1\n-1 0 0 0 1\n"), "");
+}
+
+TEST(SerializeDifferential, LayoutLineIsTheListedStricterRejection) {
+  // The flat input class the parser rejects and the reference loads: a
+  // `layout quantized` line after the task, which the reference reads as a
+  // marker before the full-precision payload. Everything else must still
+  // agree.
+  const std::string head = "vcaqoe-forest-flat 1\ntask regression\n";
+  const std::string body =
+      "features 1\nroots 1 0\nnodes 1\n0 0.5 -1 -2\nleaves 2 1 2\nend\n";
+  const std::string marked = head + "layout quantized\n" + body;
+  const auto want = reference::loadOrReject(
+      [](std::istream& in) { return reference::loadFlattenedForest(in); },
+      marked);
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(want->treeCount(), 1u);
+  EXPECT_EQ(reference::flatDifference(marked),
+            "rejected what the reference accepts");
+  // An unknown layout name both reject, and without the line both load
+  // the same arrays, so the loaders agree again.
+  EXPECT_EQ(reference::flatDifference(head + "layout vanblocks\n" + body), "");
+  EXPECT_EQ(reference::flatDifference(head + body), "");
 }
 
 TEST(SerializeDifferential, EdgeTokensMatchTheReference) {

@@ -1,8 +1,11 @@
 // Reference model loaders for the differential tests and the
 // fuzz_fforest_load harness: the `std::istream >>` loaders that
 // ml/serialize.cpp shipped before its one-buffer `from_chars` parser,
-// verbatim apart from `inline`. ml/serialize.cpp must accept exactly the
-// inputs these accept and load the same forest, bit for bit.
+// verbatim apart from `inline` and the lines that re-applied the deleted
+// quantized layout after a `layout quantized` marker (the marker's parse is
+// kept). ml/serialize.cpp must accept exactly the inputs these accept and
+// load the same forest, bit for bit, except for its listed stricter
+// rejections.
 #pragma once
 
 #include <bit>
@@ -172,7 +175,6 @@ inline FlattenedForest loadFlattenedForest(std::istream& in) {
   // Optional `layout quantized` marker (written by saveFlattenedForest for
   // a forest whose quantized layout was applied); anything else here must
   // be the features line.
-  bool quantizedLayout = false;
   if (!(in >> key)) malformed("missing features");
   if (key == "layout") {
     std::string layoutName;
@@ -180,7 +182,6 @@ inline FlattenedForest loadFlattenedForest(std::istream& in) {
     if (layoutName != "quantized") {
       malformed("unknown layout '" + layoutName + "'");
     }
-    quantizedLayout = true;
     if (!(in >> key)) malformed("missing features");
   }
   std::size_t featureCount = 0;
@@ -230,10 +231,6 @@ inline FlattenedForest loadFlattenedForest(std::istream& in) {
         task, featureCount, std::move(roots), std::move(feature),
         std::move(threshold), std::move(left), std::move(right),
         std::move(leafValue));
-    // Re-deriving the int16/float32 arrays can itself reject the file (a
-    // split feature index past int16), which is a malformed model, not a
-    // programming error.
-    if (quantizedLayout) flat.applyLayout({.quantizeThresholds = true});
     return flat;
   } catch (const std::invalid_argument& e) {
     malformed(e.what());
@@ -281,7 +278,6 @@ inline std::string flatDifference(const std::string& text) {
   if (!got) return "";
   if (got->task() != want->task()) return "task";
   if (got->featureCount() != want->featureCount()) return "feature count";
-  if (got->quantized() != want->quantized()) return "layout";
   if (got->roots() != want->roots()) return "roots";
   if (got->feature() != want->feature()) return "split features";
   if (!sameBits(got->threshold(), want->threshold())) return "thresholds";

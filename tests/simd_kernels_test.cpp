@@ -1,24 +1,23 @@
 // Randomized scalar-vs-SIMD equivalence for the common::simd kernels and
-// the opt-in FlattenedForest layouts.
+// the blocked batch traversal of FlattenedForest.
 //
 // The contract under test (src/common/simd.hpp): every kernel returns
 // bit-identical results on every dispatch arm the host supports, across
 // alignment offsets, tail lengths 0..width-1, and NaN placement. The
 // scalar arm is pinned with forceLevel and used as the reference; each
 // richer arm must reproduce it exactly, compared through bit_cast so NaN
-// payloads and signed zeros count too. The quantized forest layout is the
-// one documented exception: it may differ from full precision only on
-// feature values inside a threshold's double->float rounding gap, which
-// is verified against an independent re-implementation of the quantized
-// walk rather than a loose numeric tolerance.
+// payloads and signed zeros count too. The batched forest walk is held to
+// the same standard against the per-row `predict` walk, and the flat
+// format's one layout admits no `layout` marker.
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -354,7 +353,7 @@ TEST(SimdKernels, LookbackRingMatchesAreLevelIndependent) {
 }
 
 // ---------------------------------------------------------------------------
-// FlattenedForest layout options.
+// FlattenedForest batch traversal.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -406,7 +405,7 @@ vcaqoe::ml::FlattenedForest randomForest(std::mt19937& rng, int trees,
 }
 
 /// Rows that love threshold edges: exact thresholds, their float-rounded
-/// values, and points inside the double->float rounding gap.
+/// values, points between the two, and NaN.
 std::vector<std::vector<double>> edgeRows(const vcaqoe::ml::FlattenedForest& f,
                                           std::mt19937& rng, int count) {
   std::vector<std::vector<double>> rows;
@@ -443,45 +442,6 @@ std::vector<std::vector<double>> edgeRows(const vcaqoe::ml::FlattenedForest& f,
   return rows;
 }
 
-/// Independent quantized-walk oracle: int16 features, compare against
-/// double(float(threshold)), NaN right — the documented tolerance contract.
-double quantizedOracle(const vcaqoe::ml::FlattenedForest& f,
-                       std::span<const double> row) {
-  double sum = 0.0;
-  std::vector<int> votes;
-  for (const auto root : f.roots()) {
-    std::int32_t ref = root;
-    while (ref >= 0) {
-      const auto node = static_cast<std::size_t>(ref);
-      const double v = row[static_cast<std::size_t>(f.feature()[node])];
-      const auto t = static_cast<double>(
-          static_cast<float>(f.threshold()[node]));
-      ref = v <= t ? f.left(node) : f.right(node);
-    }
-    const auto leaf = static_cast<std::size_t>(
-        -(static_cast<std::int64_t>(ref) + 1));
-    const double out = f.leafValue()[leaf];
-    sum += out;
-    votes.push_back(static_cast<int>(out));
-  }
-  if (f.task() == vcaqoe::ml::TreeTask::kRegression) {
-    return sum / static_cast<double>(f.treeCount());
-  }
-  // Majority, ties to the smallest class id.
-  std::sort(votes.begin(), votes.end());
-  int best = 0;
-  int bestVotes = -1;
-  int run = 0;
-  for (std::size_t i = 0; i < votes.size(); ++i) {
-    run = (i > 0 && votes[i] == votes[i - 1]) ? run + 1 : 1;
-    if (run > bestVotes) {
-      bestVotes = run;
-      best = votes[i];
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 TEST(SimdForestLayout, BlockedBatchTraversalIsBitIdenticalToRowWise) {
@@ -491,130 +451,25 @@ TEST(SimdForestLayout, BlockedBatchTraversalIsBitIdenticalToRowWise) {
     for (const std::size_t batch : {1u, 2u, 7u, 8u, 9u, 20u, 64u}) {
       const auto rows = edgeRows(forest, rng, static_cast<int>(batch));
       std::vector<vcaqoe::ml::FeatureRow> spans(rows.begin(), rows.end());
-      std::vector<double> rowWise(batch);
       std::vector<double> blocked(batch);
-      forest.predictBatch(spans, rowWise,
-                          vcaqoe::ml::FlattenedForest::BatchTraversal::kRowWise);
-      forest.predictBatch(spans, blocked,
-                          vcaqoe::ml::FlattenedForest::BatchTraversal::kBlocked);
+      forest.predictBatch(spans, blocked);
       for (std::size_t r = 0; r < batch; ++r) {
-        EXPECT_EQ(bits(rowWise[r]), bits(blocked[r]))
+        EXPECT_EQ(bits(forest.predict(spans[r])), bits(blocked[r]))
             << "batch=" << batch << " row=" << r << " cls=" << classification;
-        // And both equal the single-row walk.
-        EXPECT_EQ(bits(forest.predict(spans[r])), bits(blocked[r]));
       }
     }
   }
 }
 
-TEST(SimdForestLayout, BreadthBlockReorderIsAPureBitIdenticalPermutation) {
-  std::mt19937 rng(20230910);
-  for (const bool classification : {false, true}) {
-    const auto original = randomForest(rng, 9, 7, 10, classification);
-    auto reordered = original;
-    reordered.applyLayout({.breadthBlockOrder = true});
-    ASSERT_EQ(original.internalNodeCount(), reordered.internalNodeCount());
-    ASSERT_EQ(original.leafCount(), reordered.leafCount());
-    EXPECT_FALSE(reordered.quantized());
-    const auto rows = edgeRows(original, rng, 48);
-    std::vector<vcaqoe::ml::FeatureRow> spans(rows.begin(), rows.end());
-    std::vector<double> a(spans.size());
-    std::vector<double> b(spans.size());
-    original.predictBatch(spans, a);
-    reordered.predictBatch(spans, b);
-    for (std::size_t r = 0; r < spans.size(); ++r) {
-      EXPECT_EQ(bits(a[r]), bits(b[r])) << "row " << r;
-      EXPECT_EQ(bits(original.predict(spans[r])),
-                bits(reordered.predict(spans[r])));
-    }
-  }
-}
-
-TEST(SimdForestLayout, QuantizedEvalMatchesTheDocumentedOracleExactly) {
-  std::mt19937 rng(20230911);
-  for (const bool classification : {false, true}) {
-    auto forest = randomForest(rng, 11, 6, 9, classification);
-    auto quantizedForest = forest;
-    quantizedForest.applyLayout(
-        {.quantizeThresholds = true, .breadthBlockOrder = true});
-    EXPECT_TRUE(quantizedForest.quantized());
-    const auto rows = edgeRows(forest, rng, 64);
-    std::vector<vcaqoe::ml::FeatureRow> spans(rows.begin(), rows.end());
-    std::vector<double> batch(spans.size());
-    quantizedForest.predictBatch(spans, batch);
-    for (std::size_t r = 0; r < spans.size(); ++r) {
-      // The quantized walk is *exactly* "compare against the float-rounded
-      // threshold" — not an approximation with a fudge factor. The oracle
-      // reads the original arena, so this also pins reorder+quantize
-      // composition.
-      const double expect = quantizedOracle(forest, spans[r]);
-      EXPECT_EQ(bits(expect), bits(quantizedForest.predict(spans[r])))
-          << "row " << r << " cls=" << classification;
-      EXPECT_EQ(bits(expect), bits(batch[r])) << "row " << r;
-    }
-  }
-}
-
-TEST(SimdForestLayout, QuantizedToleranceIsBoundedByLeafRange) {
-  // Coarse but documented: a quantized prediction can only move within the
-  // forest's leaf-value range (a threshold flip swaps subtrees, never
-  // invents values outside the leaves).
-  std::mt19937 rng(20230912);
-  const auto forest = randomForest(rng, 13, 6, 9);
-  auto quantizedForest = forest;
-  quantizedForest.applyLayout({.quantizeThresholds = true});
-  const auto [lo, hi] = std::minmax_element(forest.leafValue().begin(),
-                                            forest.leafValue().end());
-  const auto rows = edgeRows(forest, rng, 64);
-  for (const auto& row : rows) {
-    const double full = forest.predict(row);
-    const double quant = quantizedForest.predict(row);
-    EXPECT_LE(std::abs(full - quant), *hi - *lo);
-  }
-}
-
-TEST(SimdForestLayout, QuantizeRejectsFeatureIndexPastInt16) {
-  // One wide split: feature index 40000 cannot live in the int16 layout.
-  std::vector<std::int32_t> roots{0};
-  std::vector<std::int32_t> feature{40000};
-  std::vector<double> threshold{1.0};
-  std::vector<std::int32_t> left{-1};
-  std::vector<std::int32_t> right{-2};
-  std::vector<double> leafValue{1.0, 2.0};
-  auto forest = vcaqoe::ml::FlattenedForest::fromParts(
-      vcaqoe::ml::TreeTask::kRegression, 50000, roots, feature, threshold,
-      left, right, leafValue);
-  EXPECT_THROW(forest.applyLayout({.quantizeThresholds = true}),
-               std::invalid_argument);
-  EXPECT_FALSE(forest.quantized());
-}
-
-TEST(SimdForestLayout, QuantizedLayoutSurvivesSerializationRoundTrip) {
-  std::mt19937 rng(20230913);
-  auto forest = randomForest(rng, 7, 5, 8);
-  forest.applyLayout({.quantizeThresholds = true});
-  std::stringstream stream;
-  vcaqoe::ml::saveFlattenedForest(forest, stream);
-  const std::string text = stream.str();
-  EXPECT_NE(std::string::npos, text.find("layout quantized"));
-  auto loaded = vcaqoe::ml::loadFlattenedForest(stream);
-  EXPECT_TRUE(loaded.quantized());
-  const auto rows = edgeRows(forest, rng, 32);
-  for (const auto& row : rows) {
-    EXPECT_EQ(bits(forest.predict(row)), bits(loaded.predict(row)));
-  }
-}
-
 TEST(SimdForestLayout, UnknownLayoutMarkerIsMalformed) {
   std::mt19937 rng(20230914);
-  auto forest = randomForest(rng, 3, 3, 4);
-  forest.applyLayout({.quantizeThresholds = true});
+  const auto forest = randomForest(rng, 3, 3, 4);
   std::stringstream stream;
   vcaqoe::ml::saveFlattenedForest(forest, stream);
   std::string text = stream.str();
-  const auto at = text.find("layout quantized");
-  ASSERT_NE(std::string::npos, at);
-  text.replace(at, 16, "layout vanblocks");
+  const auto task = text.find("task ");
+  ASSERT_NE(std::string::npos, task);
+  text.insert(text.find('\n', task) + 1, "layout vanblocks\n");
   std::stringstream bad(text);
   EXPECT_THROW(vcaqoe::ml::loadFlattenedForest(bad), std::runtime_error);
 }
